@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .laws import EsfParams, Partition, esf_pmf, partitions_of
-from .laws import Pmf  # noqa: F401  (re-exported for table consumers)
 
 _ENUM_CAP = 16
 _DB_CAP = 12
@@ -34,9 +33,6 @@ class PartitionTable:
             if part.as_tuple() == counts:
                 return p
         return 0.0
-
-    def csv_rows(self) -> list[tuple[str, float]]:
-        return [(" ".join(str(c) for c in part.counts), p) for part, p in self.entries]
 
 
 def enumerate_esf(params: EsfParams) -> PartitionTable:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bruteforce, distances, laws, paths, regimes, sampling
+from . import bruteforce, distances, laws, paths, regimes, sampling, special
 from .laws import EsfParams
 
 _PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
@@ -47,12 +47,18 @@ def _check_partition_counts() -> str:
 def _check_kn_methods() -> str:
     worst = 0.0
     for n in (5, 30, 120):
-        for theta in (0.5, 3.0):
+        for theta in (1e-9, 0.5, 3.0, 1e8):
             p = EsfParams(n, theta)
             a = laws.kn_pmf(p, "stirling")
             b = laws.kn_pmf(p, "bernoulli_convolution")
             worst = max(worst, float(np.abs(a.probs - b.probs).max()))
             mean, var = laws.kn_mean_var(p)
+            # E[K_n] = theta*(psi(n+theta) - psi(theta)); the difference of
+            # digammas is only good to a few ulps of its larger term
+            psi_n, psi_0 = special.digamma(n + theta), special.digamma(theta)
+            slack = 1e-15 * theta * (abs(psi_0) + abs(psi_n)) + 1e-12 * mean
+            if abs(mean - theta * (psi_n - psi_0)) > slack:
+                raise AssertionError(f"digamma identity mismatch at n={n}, theta={theta}")
             ks = np.arange(1, n + 1)
             mean_pmf = float(ks @ a.probs)
             var_pmf = float((ks - mean_pmf) ** 2 @ a.probs)
@@ -192,18 +198,21 @@ def _check_db_oracle() -> str:
 def _check_prelim_reports() -> str:
     for n in (2, 10, 100):
         for theta in (0.5, 1.0, 2.0, 10.0, 1e3, 1e6):
-            _, reports = distances.prelim_sums(EsfParams(n, theta))
+            sums, reports = distances.prelim_sums(EsfParams(n, theta))
             bad = [r.name for r in reports if not r.satisfied]
             if bad:
                 raise AssertionError(f"unsatisfied at n={n}, theta={theta}: {bad}")
-    return "all moment-sum sandwiches hold on the grid"
+            # p_j + q_j = 1 termwise, so the sums must reproduce n
+            if abs(sums.sum_p + sums.sum_q - n) > 1e-10 * n:
+                raise AssertionError(f"sum_p + sum_q != n at n={n}, theta={theta}")
+    return "all moment-sum sandwiches hold on the grid; sum p + sum q = n"
 
 
 def _check_bh_contains() -> str:
     for n in (2, 5, 10, 50, 100):
         for theta in (1.0, 2.0):
             p = EsfParams(n, theta)
-            lo, up = distances.bh_bounds(laws._success_probs(p).tolist())
+            lo, up = distances.bh_bounds(laws.success_probs(n, theta))
             tv = distances.kn_poisson_tv(p, "exact_mean").exact_tv.value
             if not lo - 1e-12 <= tv <= up + 1e-12:
                 raise AssertionError(f"BH violated at n={n}, theta={theta}")

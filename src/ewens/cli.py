@@ -4,7 +4,8 @@ Every computation in the library is reachable as a subcommand that emits a
 machine-readable table (CSV default, JSON on request). Randomized
 subcommands require a seed (flag, ESF_SEED, or the documented default) and
 record it in the output; identical configurations rerun byte-identically.
-Exit codes: 0 success, 1 usage or validation error, 2 check failure.
+Exit codes: 0 success, 1 any error (one `ewens: error:` line on stderr, no
+traceback), 2 check failure.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def _run_pmf(cfg: RunConfig) -> int:
     p = _params(cfg)
     dist = cfg.extras["dist"]
     if dist == "kn":
-        law = laws.kn_pmf(p, cfg.extras.get("method") or "stirling")
+        law = laws.kn_pmf(p, cfg.extras["method"])
         rows = [[k, float(law.prob(k))] for k in law.support()]
         _table(cfg, ["k", "prob"], rows, {"dist": dist, "n": p.n, "theta": p.theta})
     elif dist == "singleton":
@@ -190,7 +191,7 @@ def _run_moments(cfg: RunConfig) -> int:
 
 def _run_sample(cfg: RunConfig) -> int:
     p = _params(cfg)
-    m = cfg.m or 1
+    m = cfg.m
     sampler = cfg.extras["sampler"]
     rng = RngState(cfg.seed)
     meta = {"n": p.n, "theta": p.theta, "sampler": sampler, "seed": cfg.seed, "m": m}
@@ -204,8 +205,8 @@ def _run_sample(cfg: RunConfig) -> int:
             part = sampling.sample_crp(p, rng.substream(i))
             rows += [[i, j + 1, int(c)] for j, c in enumerate(part.counts) if c]
     else:
-        b_max = cfg.extras.get("b_max") or 0
-        tail = cfg.extras.get("tail_bound") or 1e-4
+        b_max = cfg.extras["b_max"]
+        tail = cfg.extras["tail_bound"]
         residual = 0.0
         for i in range(m):
             s = sampling.sample_feller(p, rng.substream(i), b_max=b_max, tail_bound=tail)
@@ -219,7 +220,7 @@ def _run_sample(cfg: RunConfig) -> int:
 
 def _run_tv(cfg: RunConfig) -> int:
     p = _params(cfg)
-    center = cfg.extras.get("center") or "exact_mean"
+    center = cfg.extras["center"]
     kn = distances.kn_poisson_tv(p, center)
     nkn = distances.nkn_poisson_tv(p)
     rows = [
@@ -245,7 +246,7 @@ def _run_tv(cfg: RunConfig) -> int:
 def _run_bounds(cfg: RunConfig) -> int:
     p = _params(cfg)
     _, reports = distances.prelim_sums(p)
-    lo, up = distances.bh_bounds(laws._success_probs(p).tolist())
+    lo, up = distances.bh_bounds(laws.success_probs(p.n, p.theta))
     reports = list(reports)
     reports.append(distances.make_report("bh_lower", lo, detail="Bernoulli-sum TV lower bound"))
     reports.append(distances.make_report("bh_upper", up, detail="Bernoulli-sum TV upper bound"))
@@ -292,9 +293,8 @@ def _run_bounds(cfg: RunConfig) -> int:
 def _run_leading_term(cfg: RunConfig) -> int:
     if cfg.theta is None or cfg.b is None:
         raise _UsageError("leading-term needs --theta and --b")
-    grid = cfg.extras.get("n_grid") or [100, 1000, 10000]
     rows = []
-    for n in grid:
+    for n in cfg.extras["n_grid"]:
         p = EsfParams(n, cfg.theta)
         de = distances.db_exact(p, cfg.b).value
         lead = distances.db_leading_term(p, cfg.b)
@@ -352,9 +352,9 @@ def _run_regime(cfg: RunConfig) -> int:
 
 def _run_fclt(cfg: RunConfig) -> int:
     p = _params(cfg)
-    m = cfg.m or 2000
-    which = cfg.extras.get("which") or "X4"
-    stat = cfg.extras.get("stat") or "sup"
+    m = cfg.m
+    which = cfg.extras["which"]
+    stat = cfg.extras["stat"]
     sample = paths.mc_functionals(p, which, stat, cfg.eps, m, RngState(cfg.seed))
     if which == "X4" and stat == "sup":
         ks = paths.ks_distance(sample, kolmogorov_cdf)
@@ -365,13 +365,13 @@ def _run_fclt(cfg: RunConfig) -> int:
             which,
             stat,
             eps_ref,
-            cfg.extras.get("grid_m") or 2**12,
-            cfg.extras.get("ref_m") or 10**4,
+            cfg.extras["grid_m"],
+            cfg.extras["ref_m"],
             RngState(cfg.seed).substream(2**32),
         )
         ks = paths.ks_distance(sample, ref)
         reference = "gaussian_simulation"
-    tol = cfg.extras.get("ks_tol", 0.05)
+    tol = cfg.extras["ks_tol"]
     summary = {
         "which": which,
         "stat": stat,
@@ -459,7 +459,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("tv", help="exact TV distances vs Poisson laws")
     common(sp)
     sp.add_argument("--b", type=int)
-    sp.add_argument("--center", choices=("exact_mean", "mu_A", "mu_a"))
+    sp.add_argument("--center", choices=("exact_mean", "mu_A", "mu_a"), default="exact_mean")
 
     sp = sub.add_parser("bounds", help="closed-form bound reports")
     common(sp)
@@ -504,11 +504,17 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     ):
         if hasattr(ns, key):
             extras[key] = getattr(ns, key)
-    if getattr(ns, "n_grid", None):
+    if hasattr(ns, "n_grid"):
         try:
             extras["n_grid"] = [int(s) for s in str(ns.n_grid).split(",") if s]
         except ValueError:
             raise _UsageError(f"bad --n-grid value {ns.n_grid!r}")
+        if not extras["n_grid"]:
+            raise _UsageError("--n-grid needs at least one n")
+    if getattr(ns, "m", 1) < 1:
+        raise _UsageError(f"--m must be at least 1, got {ns.m}")
+    if getattr(ns, "mc", 0) < 0:
+        raise _UsageError(f"--mc must be at least 0, got {ns.mc}")
     seed = getattr(ns, "seed", None)
     if seed is None:
         seed = sampling.seed_from_env()
@@ -519,7 +525,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         coeff=getattr(ns, "coeff", None),
         exponent=getattr(ns, "exponent", None),
         b=getattr(ns, "b", None),
-        m=getattr(ns, "m", None) or getattr(ns, "mc", None) or None,
+        m=ns.m if hasattr(ns, "m") else getattr(ns, "mc", None),
         seed=seed,
         eps=getattr(ns, "eps", paths.DEFAULT_EPS),
         fmt=getattr(ns, "format", "csv"),
@@ -533,11 +539,10 @@ def main(argv: list[str] | None = None) -> int:
         ns = _build_parser().parse_args(argv)
         cfg = _config_from_args(ns)
         return run(cfg)
-    except _UsageError as exc:
-        print(f"ewens: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"ewens: error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # the process boundary: any failure is one line on stderr and exit 1
+        reason = str(exc) if isinstance(exc, (_UsageError, ValueError)) else f"{type(exc).__name__}: {exc}"
+        print(f"ewens: error: {' '.join(reason.split())}", file=sys.stderr)
         return 1
 
 

@@ -15,7 +15,16 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .laws import EsfParams, Pmf, _tlm_log, kn_mean_var, kn_pmf, t0n_log
+from .laws import (
+    EsfParams,
+    Pmf,
+    _tlm_log,
+    failure_probs,
+    kn_mean_var,
+    kn_pmf,
+    success_probs,
+    t0n_log,
+)
 from .sampling import RngState, sample_feller
 from .special import digamma, log_rising_factorial
 
@@ -116,12 +125,6 @@ class PrelimSums:
     sum_q: float
     sum_q2: float
 
-    def __post_init__(self) -> None:
-        # p_j + q_j = 1 termwise, so the sums must reproduce n.
-        n_back = self.sum_p + self.sum_q
-        if abs(n_back - round(n_back)) > 1e-10 * max(1.0, n_back):
-            raise AssertionError(f"sum_p + sum_q = {n_back} is not an integer")
-
 
 def prelim_sums(
     params: EsfParams, case_c_gap: bool | None = None
@@ -138,14 +141,9 @@ def prelim_sums(
             n >= theta raises (the expansion diverges there).
     """
     n, theta = params.n, params.theta
-    ps = [theta / (theta + j - 1.0) for j in range(1, n + 1)]
-    qs = [(j - 1.0) / (theta + j - 1.0) for j in range(1, n + 1)]
-    sums = PrelimSums(
-        math.fsum(ps),
-        math.fsum(p * p for p in ps),
-        math.fsum(qs),
-        math.fsum(q * q for q in qs),
-    )
+    ps = success_probs(n, theta)
+    qs = failure_probs(n, theta)
+    sums = PrelimSums(math.fsum(ps), math.fsum(ps * ps), math.fsum(qs), math.fsum(qs * qs))
     mu_a_log = theta * math.log1p(n / theta)
     reports = [
         make_report(
@@ -216,13 +214,6 @@ def _pap1_bound(params: EsfParams) -> float:
     )
 
 
-def _kn_law(params: EsfParams) -> Pmf:
-    from .special import STIRLING_CAP
-
-    method = "stirling" if params.n <= STIRLING_CAP else "bernoulli_convolution"
-    return kn_pmf(params, method)
-
-
 def kn_poisson_tv(params: EsfParams, center: str = "exact_mean") -> PoissonTv:
     """TV between K_n and a Poisson at one of three centerings.
 
@@ -246,16 +237,16 @@ def kn_poisson_tv(params: EsfParams, center: str = "exact_mean") -> PoissonTv:
         upper = base + yannaros_bound(lam_exact, lam)
     else:
         raise ValueError(f"unknown center {center!r}")
-    exact = tv_discrete(_kn_law(params), Pmf.poisson(lam))
+    exact = tv_discrete(kn_pmf(params), Pmf.poisson(lam))
     return PoissonTv(exact, upper, lam, center)
 
 
 def nkn_poisson_tv(params: EsfParams) -> PoissonTv:
     """TV between n - K_n and Poisson(sum q_j) with its closed-form bound."""
     n, theta = params.n, params.theta
-    lam = math.fsum((j - 1.0) / (theta + j - 1.0) for j in range(1, n + 1))
+    lam = math.fsum(failure_probs(n, theta))
     upper = 2.0 * n * (n + theta) / (3.0 * theta**2) * -math.expm1(-n * n / (2.0 * theta))
-    exact = tv_discrete(_kn_law(params).reversed_about(n), Pmf.poisson(lam))
+    exact = tv_discrete(kn_pmf(params).reversed_about(n), Pmf.poisson(lam))
     return PoissonTv(exact, upper, lam, "exact_mean")
 
 

@@ -14,10 +14,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from scipy.special import gammaln, logsumexp
 
 from .special import (
     STIRLING_CAP,
-    digamma,
     harmonic_number,
     log_bignat,
     log_rising_factorial,
@@ -157,19 +156,6 @@ class Pmf:
         """Mean over the stored window (tail mass excluded)."""
         return float(self.support() @ self.probs)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "offset": self.offset,
-                "probs": [float(p) for p in self.probs],
-                "tail_mass": float(self.tail_mass),
-            },
-            sort_keys=True,
-        )
-
-    def csv_rows(self) -> list[tuple[int, float]]:
-        return [(int(v), float(p)) for v, p in zip(self.support(), self.probs)]
-
     def reversed_about(self, n: int) -> "Pmf":
         """Law of n - X for X ~ self. Requires a tail-free window."""
         if self.tail_mass != 0.0:
@@ -223,9 +209,25 @@ def esf_pmf(params: EsfParams, a: Partition) -> float:
     return math.exp(logp)
 
 
-def _success_probs(params: EsfParams) -> np.ndarray:
-    """p_j = theta/(theta+j-1) for j = 1..n."""
-    return params.theta / (params.theta + np.arange(params.n, dtype=np.float64))
+# maxsize=1: every caller works through one (n, theta) at a time, and Monte
+# Carlo sweeps move to a new (n, theta) per request, so an older array (up to
+# 8 MB at n = 1e6) would never be read again.
+@lru_cache(maxsize=1)
+def success_probs(n: int, theta: float) -> np.ndarray:
+    """p_j = theta/(theta+j-1) for j = 1..n, cached read-only.
+
+    j - 1 is added to theta as an exact integer, so a tiny theta is not
+    rounded away.
+    """
+    p = theta / (theta + np.arange(n, dtype=np.float64))
+    p.setflags(write=False)
+    return p
+
+
+def failure_probs(n: int, theta: float) -> np.ndarray:
+    """q_j = (j-1)/(theta+j-1) for j = 1..n, without the cancellation of 1 - p_j."""
+    i = np.arange(n, dtype=np.float64)
+    return i / (theta + i)
 
 
 def _kn_log_bernoulli(params: EsfParams) -> np.ndarray:
@@ -235,8 +237,9 @@ def _kn_log_bernoulli(params: EsfParams) -> np.ndarray:
     """
     n, theta = params.n, params.theta
     lp = np.array([0.0])
-    for j in range(2, n + 1):
-        pj = theta / (theta + j - 1.0)
+    for pj in success_probs(n, theta)[1:].tolist():
+        # log1p(-p_j), not log(q_j): where q_j is near 1 this keeps its log
+        # accurate to an ulp of p_j
         llo = math.log1p(-pj)
         lhi = math.log(pj)
         new = np.empty(lp.size + 1)
@@ -247,14 +250,20 @@ def _kn_log_bernoulli(params: EsfParams) -> np.ndarray:
         lp = new
     return lp
 
-def kn_pmf(params: EsfParams, method: str = "stirling") -> Pmf:
+
+def kn_pmf(params: EsfParams, method: str | None = None) -> Pmf:
     """Law of the number of blocks K_n on {1..n}.
 
     method="stirling" uses P(K_n = k) = s(n,k) theta^k / (theta)_n with the
     exact integer Stirling table (n <= STIRLING_CAP); "bernoulli_convolution"
-    runs the O(n^2) log-space convolution and works for any n.
+    runs the O(n^2) log-space convolution and works for any n. The default
+    None takes the Stirling route up to STIRLING_CAP, where its table is
+    built once and each law then costs a tenth of the convolution, and the
+    convolution above it.
     """
     n, theta = params.n, params.theta
+    if method is None:
+        method = "stirling" if n <= STIRLING_CAP else "bernoulli_convolution"
     if method == "stirling":
         if n > STIRLING_CAP:
             raise ValueError(
@@ -272,22 +281,9 @@ def kn_pmf(params: EsfParams, method: str = "stirling") -> Pmf:
 
 
 def kn_mean_var(params: EsfParams) -> tuple[float, float]:
-    """Mean and variance of K_n.
-
-    Direct Bernoulli sums cross-checked internally against the digamma
-    identity E[K_n] = theta*(psi(n+theta) - psi(theta)).
-    """
-    n, theta = params.n, params.theta
-    mean = math.fsum(theta / (theta + j - 1.0) for j in range(1, n + 1))
-    var = math.fsum(
-        theta * (j - 1.0) / (theta + j - 1.0) ** 2 for j in range(1, n + 1)
-    )
-    mean_psi = theta * (digamma(n + theta) - digamma(theta))
-    if abs(mean - mean_psi) > 1e-10 * max(1.0, abs(mean)):
-        raise AssertionError(
-            f"Bernoulli sum {mean} and digamma identity {mean_psi} disagree"
-        )
-    return mean, var
+    """Mean sum p_j and variance sum p_j q_j of K_n, as Bernoulli sums."""
+    p = success_probs(params.n, params.theta)
+    return math.fsum(p), math.fsum(p * failure_probs(params.n, params.theta))
 
 
 def cjn_mean(params: EsfParams, j: int) -> float:

@@ -13,11 +13,10 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .laws import EsfParams, Partition
+from .laws import EsfParams, Partition, success_probs
 
 DEFAULT_SEED = 424242
 
@@ -60,14 +59,6 @@ class RngState:
         return RngState(self.seed, int.from_bytes(digest, "little"))
 
 
-@lru_cache(maxsize=8)
-def _success_probs(n: int, theta: float) -> np.ndarray:
-    """p_i = theta/(theta+i-1) for i = 1..n, cached read-only."""
-    p = theta / (theta + np.arange(n, dtype=np.float64))
-    p.setflags(write=False)
-    return p
-
-
 @dataclass
 class FellerSample:
     """One coupled draw of the cycle counts and their Poisson companions.
@@ -81,7 +72,6 @@ class FellerSample:
     c_n: Partition
     c_inf: np.ndarray
     residual: float
-    xi: np.ndarray | None = None
 
 
 def sample_feller(
@@ -89,7 +79,6 @@ def sample_feller(
     rng: RngState,
     b_max: int | None = None,
     tail_bound: float = 1e-4,
-    keep_xi: bool = False,
 ) -> FellerSample:
     """Draw (C^n, C^inf) from the Feller coupling.
 
@@ -111,7 +100,6 @@ def sample_feller(
             (defaults to n). 0 disables the extension entirely, leaving
             c_inf with the in-window spacings only.
         tail_bound: certified bias budget for the extension.
-        keep_xi: include the raw Bernoulli window in the result.
     """
     n, theta = params.n, params.theta
     if b_max is None:
@@ -124,7 +112,7 @@ def sample_feller(
 
     gen = rng.generator()
     u = gen.random(n)
-    xi = u < _success_probs(n, theta)
+    xi = u < success_probs(n, theta)
     xi[0] = True
     pos = np.flatnonzero(xi) + 1
     gaps = np.diff(pos)
@@ -154,7 +142,7 @@ def sample_feller(
             t += g
         residual = b_max * theta * theta / (theta + horizon - 1.0)
 
-    return FellerSample(part, c_inf, residual, xi if keep_xi else None)
+    return FellerSample(part, c_inf, residual)
 
 
 def _geometric(gen: np.random.Generator, w: float) -> int:
@@ -211,4 +199,4 @@ def sample_kn(params: EsfParams, rng: RngState) -> int:
     if n == 1:
         return 1
     u = gen.random(n - 1)
-    return 1 + int(np.count_nonzero(u < _success_probs(n, params.theta)[1:]))
+    return 1 + int(np.count_nonzero(u < success_probs(n, params.theta)[1:]))

@@ -8,7 +8,6 @@ cross-check against exact rational arithmetic in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -20,9 +19,9 @@ STIRLING_CAP = 500
 def log_rising_factorial(theta: float, n: int) -> float:
     """Return log(theta * (theta+1) * ... * (theta+n-1)).
 
-    For n <= 32 the logs of the factors are fsum-ed directly, which stays
-    accurate even when theta is huge and the lgamma difference would cancel.
-    An empty product (n = 0) gives 0.
+    For n <= 32 or theta >= n the logs of the factors are fsum-ed directly:
+    the lgamma difference loses about theta * eps to cancellation, which at
+    theta = 1e8 is already 1e-8. An empty product (n = 0) gives 0.
 
     Args:
         theta: positive finite real.
@@ -35,7 +34,7 @@ def log_rising_factorial(theta: float, n: int) -> float:
     n = int(n)
     if n == 0:
         return 0.0
-    if n <= 32:
+    if n <= 32 or theta >= n:
         return math.fsum(math.log(theta + i) for i in range(n))
     return math.lgamma(theta + n) - math.lgamma(theta)
 
@@ -157,72 +156,3 @@ def harmonic_number(n: int) -> float:
     if n != int(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     return math.fsum(1.0 / j for j in range(1, int(n) + 1))
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-@dataclass(frozen=True)
-class LogReal:
-    """A signed real carried as (sign, log magnitude).
-
-    Survives magnitudes far outside the double range; addition of opposite
-    signs cancels in log space, so the usual caveat about catastrophic
-    cancellation applies to the *accuracy* but never overflows.
-    """
-
-    sign: int
-    log_mag: float
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if self.sign == 0 and self.log_mag != -math.inf:
-            object.__setattr__(self, "log_mag", -math.inf)
-
-    @staticmethod
-    def zero() -> "LogReal":
-        return LogReal(0, -math.inf)
-
-    @staticmethod
-    def from_float(x: float) -> "LogReal":
-        if x == 0.0:
-            return LogReal.zero()
-        return LogReal(1 if x > 0 else -1, math.log(abs(x)))
-
-    @staticmethod
-    def from_log(sign: int, log_mag: float) -> "LogReal":
-        if sign == 0 or log_mag == -math.inf:
-            return LogReal.zero()
-        return LogReal(sign, log_mag)
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0 or other.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.sign * other.sign, self.log_mag + other.log_mag)
-
-    def __neg__(self) -> "LogReal":
-        return LogReal(-self.sign, self.log_mag)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.sign == other.sign:
-            return LogReal(self.sign, _logaddexp(self.log_mag, other.log_mag))
-        if self.log_mag == other.log_mag:
-            return LogReal.zero()
-        hi, lo = (self, other) if self.log_mag > other.log_mag else (other, self)
-        return LogReal(hi.sign, hi.log_mag + math.log1p(-math.exp(lo.log_mag - hi.log_mag)))
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_mag)

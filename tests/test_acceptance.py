@@ -74,12 +74,12 @@ def test_criterion_2_moment_sums_and_bound_sandwiches():
     for n in (2, 5, 10, 50, 100):
         for theta in (0.5, 1.0, 2.0, 10.0):
             params = EsfParams(n, theta)
-            ps = [theta / (theta + j - 1.0) for j in range(1, n + 1)]
+            ps = [theta / (theta + i) for i in range(n)]
             lo, up = distances.bh_bounds(ps)
             tv = distances.kn_poisson_tv(params, "exact_mean").exact_tv.value
             if not lo - 1e-12 <= tv <= up + 1e-12:
                 failures.append(f"BH block-count at n={n} theta={theta}")
-            qs = [(j - 1.0) / (theta + j - 1.0) for j in range(1, n + 1)]
+            qs = [i / (theta + i) for i in range(n)]
             lo2, up2 = distances.bh_bounds(qs)
             tv2 = distances.nkn_poisson_tv(params).exact_tv.value
             if not lo2 - 1e-12 <= tv2 <= up2 + 1e-12:

@@ -227,8 +227,18 @@ class TestExitCodes:
         assert run_cli(["frobnicate"], capsys)[0] == 1
 
     def test_invalid_values_are_one(self, capsys):
-        assert run_cli(["pmf", "--n", "-3", "--theta", "1", "--dist", "kn"], capsys)[0] == 1
-        assert run_cli(["pmf", "--n", "3", "--theta", "-1", "--dist", "kn"], capsys)[0] == 1
+        for argv in (
+            "pmf --n -3 --theta 1 --dist kn",
+            "pmf --n 3 --theta -1 --dist kn",
+            "tv --n 10 --theta 1e200",
+            "bounds --n 10 --theta 1e-300",
+            "fclt --n 100 --theta 2 --m 0",
+            "sample --sampler kn --n 100 --theta 2 --m -3",
+        ):
+            code, out, err = run_cli(argv.split(), capsys)
+            assert code == 1, argv
+            assert out == "" and len(err.splitlines()) == 1, argv
+            assert err.startswith("ewens: error: "), argv
 
     def test_errors_go_to_stderr(self, capsys):
         code, out, err = run_cli(["pmf", "--n", "3"], capsys)

@@ -68,7 +68,7 @@ class TestBhBounds:
     @pytest.mark.parametrize("n,theta", [(2, 1.0), (10, 0.5), (50, 2.0), (100, 10.0)])
     def test_sandwich_contains_exact_tv(self, n, theta):
         params = EsfParams(n, theta)
-        ps = [theta / (theta + j - 1) for j in range(1, n + 1)]
+        ps = [theta / (theta + i) for i in range(n)]
         lower, upper = bh_bounds(ps)
         # K_n - 1 = sum of Bernoullis over j >= 2 is what the bound describes
         # only when every p_j < 1; include j = 1 as a unit atom shift.
@@ -152,7 +152,7 @@ class TestNknPoissonTv:
     def test_lambda_is_sum_of_failure_means(self):
         n, theta = 10, 1.0
         r = nkn_poisson_tv(EsfParams(n, theta))
-        lam = math.fsum((j - 1) / (theta + j - 1) for j in range(1, n + 1))
+        lam = math.fsum(i / (theta + i) for i in range(n))
         assert math.isclose(r.lam, lam, rel_tol=1e-13)
 
     def test_frozen_values(self):

@@ -11,6 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewens.laws import (
     EsfParams,
@@ -110,6 +113,26 @@ class TestKnPmf:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             kn_pmf(EsfParams(5, 1.0), method="magic")
+
+    def test_default_route_beyond_stirling_cap(self):
+        pmf = kn_pmf(EsfParams(1000, 2.0))
+        assert math.isclose(pmf.mean(), kn_mean_var(EsfParams(1000, 2.0))[0], rel_tol=1e-12)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 500), theta=st.floats(-9.0, 9.0).map(lambda e: 10.0**e))
+    def test_routes_and_mean_over_log_uniform_theta(self, n, theta):
+        params = EsfParams(n, theta)
+        a = kn_pmf(params, method="stirling")
+        b = kn_pmf(params, method="bernoulli_convolution")
+        assert abs(math.fsum(a.probs) - 1.0) <= 1e-9
+        assert abs(math.fsum(b.probs) - 1.0) <= 1e-9
+        assert float(np.abs(a.probs - b.probs).max()) <= 1e-11
+        # E[K_n] = theta*(psi(n+theta) - psi(theta)), up to a few ulps of the
+        # larger digamma, which the difference cannot resolve
+        psi_n, psi_0 = scipy.special.digamma(n + theta), scipy.special.digamma(theta)
+        mean, _ = kn_mean_var(params)
+        slack = 1e-15 * theta * (abs(psi_0) + abs(psi_n)) + 1e-12 * mean
+        assert abs(mean - theta * (psi_n - psi_0)) <= slack
 
 
 class TestKnMoments:

@@ -16,7 +16,6 @@ import scipy.stats
 
 from ewens.special import (
     EULER_GAMMA,
-    LogReal,
     digamma,
     harmonic_number,
     kolmogorov_cdf,
@@ -101,7 +100,7 @@ def test_log_rising_factorial_matches_lgamma(theta, n):
 def test_log_rising_factorial_exact_integer_products():
     # For integer theta the product is an exact integer; its log is the
     # cancellation-free reference the fsum route must hit.
-    for theta, n in [(2, 3), (1000000, 2), (1000000, 10)]:
+    for theta, n in [(2, 3), (1000000, 2), (1000000, 10), (100000000, 400)]:
         prod = 1
         for i in range(n):
             prod *= theta + i
@@ -166,28 +165,3 @@ def test_kolmogorov_cdf_theta_series_oracle():
     for x in [0.3, 0.7, 1.1]:
         s = sum((-1) ** k * math.exp(-2 * k * k * x * x) for k in range(-60, 61))
         assert math.isclose(kolmogorov_cdf(x), s, rel_tol=1e-13, abs_tol=1e-15)
-
-
-def test_logreal_roundtrip_and_products():
-    a = LogReal.from_float(0.25)
-    b = LogReal.from_float(-3.0)
-    assert math.isclose((a * b).to_float(), -0.75, rel_tol=1e-15)
-    assert math.isclose((a + b).to_float(), -2.75, rel_tol=1e-15)
-    assert math.isclose((-b).to_float(), 3.0, rel_tol=1e-15)
-    assert (a + (-a)).to_float() == 0.0
-    assert LogReal.zero().to_float() == 0.0
-    assert (LogReal.zero() * a).to_float() == 0.0
-
-
-def test_logreal_huge_magnitudes_stay_in_log_space():
-    big = LogReal.from_log(1, 5000.0)
-    small = LogReal.from_log(1, 4990.0)
-    diff = big + (-small)
-    # log(e^5000 - e^4990) = 5000 + log(1 - e^-10)
-    assert math.isclose(diff.log_mag, 5000.0 + math.log1p(-math.exp(-10.0)), rel_tol=1e-15)
-    assert diff.sign == 1
-
-
-def test_logreal_cancellation_of_equal_terms():
-    x = LogReal.from_log(1, 123.456)
-    assert (x + (-x)).sign == 0

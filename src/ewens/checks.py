@@ -282,7 +282,8 @@ def _check_c2_atoms() -> str:
 
 
 def _check_fclt_exact() -> str:
-    path = paths.build_path(laws.Partition((1, 2, 0, 0, 1, 0, 0, 0, 0, 0)))
+    counts = (1, 2, 0, 0, 1, 0, 0, 0, 0, 0)
+    path = paths.build_path(laws.Partition(counts))
     from scipy.integrate import quad
 
     big_l = math.log(10)
@@ -298,6 +299,14 @@ def _check_fclt_exact() -> str:
             limit=200,
         )
         worst = max(worst, abs(closed - num))
+    # X2 lives on the grid j = 1..n: its L2 is sum_{j<n} v_j^2 w_j / log n
+    direct = []
+    for j in range(1, 10):
+        h = math.fsum(1.0 / i for i in range(1, j + 1))
+        v = (sum(counts[:j]) - 1.7 * h) / math.sqrt(1.7 * h)
+        direct.append(v * v * math.log1p(1.0 / j))
+    _, closed = paths.functional_stat(path, 1.7, "X2", 0.01)
+    worst = max(worst, abs(closed - math.fsum(direct) / big_l))
     if worst > 1e-9:
         raise AssertionError(f"closed-form L2 off by {worst:.2e}")
     rng = sampling.RngState(21)
@@ -306,7 +315,7 @@ def _check_fclt_exact() -> str:
         p = paths.build_path(s.c_n)
         if paths.process_value(p, 1.0, "X4", 1.0) != 0.0:
             raise AssertionError("X4(1) != 0 on a sampled partition")
-    return f"L2 closed forms match quadrature to {worst:.1e}; X4 pinned at u=1"
+    return f"L2 closed forms match quadrature and the X2 grid sum to {worst:.1e}; X4 pinned at u=1"
 
 
 def _check_reference_bridge() -> str:

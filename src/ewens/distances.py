@@ -164,13 +164,13 @@ def prelim_sums(
             "sum_q",
             sums.sum_q,
             lower=n * (n - 1.0) / (2.0 * (theta + n)),
-            upper=n * (n - 1.0) / (2.0 * theta),
+            upper=n * (n - 1.0) / theta / 2.0,
         ),
         make_report(
             "sum_q2",
             sums.sum_q2,
-            lower=n * (n - 1.0) * (2.0 * n - 1.0) / (6.0 * (theta + n) ** 2),
-            upper=n * (n - 1.0) * (2.0 * n - 1.0) / (6.0 * theta**2),
+            lower=n / (theta + n) * ((n - 1.0) / (theta + n)) * (2.0 * n - 1.0) / 6.0,
+            upper=n / theta * ((n - 1.0) / theta) * (2.0 * n - 1.0) / 6.0,
         ),
         make_report(
             "case_a_centering_gap",
@@ -208,9 +208,19 @@ class PoissonTv:
 
 
 def _pap1_bound(params: EsfParams) -> float:
+    """(n theta + n + theta) / (theta (n + theta) log(1 + n/theta) + n/2).
+
+    Above theta = 1 both sides are divided by theta, so theta (n + theta)
+    cannot overflow; below it log(1 + n/theta) is log(n + theta) - log theta,
+    so n/theta cannot.
+    """
     n, theta = params.n, params.theta
+    if theta > 1.0:
+        return (n + 1.0 + n / theta) / (
+            (n + theta) * math.log1p(n / theta) + n / (2.0 * theta)
+        )
     return (n * theta + n + theta) / (
-        theta * (n + theta) * math.log1p(n / theta) + n / 2.0
+        theta * (n + theta) * (math.log(n + theta) - math.log(theta)) + n / 2.0
     )
 
 
@@ -245,7 +255,7 @@ def nkn_poisson_tv(params: EsfParams) -> PoissonTv:
     """TV between n - K_n and Poisson(sum q_j) with its closed-form bound."""
     n, theta = params.n, params.theta
     lam = math.fsum(failure_probs(n, theta))
-    upper = 2.0 * n * (n + theta) / (3.0 * theta**2) * -math.expm1(-n * n / (2.0 * theta))
+    upper = 2.0 * (n / theta) * ((n + theta) / theta) / 3.0 * -math.expm1(-n / theta * n / 2.0)
     exact = tv_discrete(kn_pmf(params).reversed_about(n), Pmf.poisson(lam))
     return PoissonTv(exact, upper, lam, "exact_mean")
 

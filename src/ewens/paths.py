@@ -1,16 +1,21 @@
 """Cycle-count empirical processes X1-X5 and their Brownian references.
 
-Every process is piecewise algebraic between jump points of the cumulative
-cycle-count path, so sups come from endpoint evaluation (each branch is
-monotone in u) and L2 norms from closed-form antiderivatives. A quadrature
-fallback cross-checks the closed forms in the test suite.
+A sampled path jumps only at the K_n distinct cycle sizes, so every
+functional costs O(K_n) per path. X1 and X3-X5 are piecewise algebraic in
+u between jumps: sups come from endpoint evaluation (each branch is
+monotone in u) and L2 norms from closed-form antiderivatives. X2 lives on
+the grid j = 1..n; on a run of j with constant count S, (S - theta H_j) /
+sqrt(theta H_j) is monotone in j, so its sup comes from run endpoints, and
+with w_j = log(1 + 1/j) its L2 sum over a run is S^2/theta (A_b - A_{a-1})
+- 2 S log((b+1)/a) + theta (C_b - C_{a-1}) from the prefix sums
+A_j = sum_{i<=j} w_i/H_i and C_j = sum_{i<=j} w_i H_i. H, A and C sit in
+one grow-only table of max n entries, built once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,19 +30,25 @@ DEFAULT_EPS = 0.01
 class StepPath:
     """Right-continuous step path u -> S(u) = sum of cycle counts j <= n^u.
 
-    jump_u holds log j / log n for each cycle size j present; cum_counts the
-    cumulative count at each jump; k_total the final block count.
+    sizes holds the distinct cycle sizes j present and jump_u their
+    log j / log n; cum_counts the cumulative count at each jump; k_total the
+    final block count.
     """
 
     n: int
     jump_u: np.ndarray
     cum_counts: np.ndarray
     k_total: int
+    sizes: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("paths need n >= 2 (log n vanishes at n = 1)")
-        if np.any(np.diff(self.jump_u) <= 0.0):
+        if self.sizes.shape != self.jump_u.shape or self.sizes.shape != self.cum_counts.shape:
+            raise ValueError("sizes, jump locations and counts must have one entry per jump")
+        if self.sizes.size and not 1 <= self.sizes[0] <= self.sizes[-1] <= self.n:
+            raise ValueError(f"cycle sizes must lie in 1..{self.n}")
+        if np.any(np.diff(self.sizes) <= 0) or np.any(np.diff(self.jump_u) <= 0.0):
             raise ValueError("jump locations must be strictly increasing")
         if np.any(np.diff(self.cum_counts) <= 0):
             raise ValueError("cumulative counts must be strictly increasing")
@@ -57,26 +68,64 @@ def build_path(a: Partition) -> StepPath:
         raise ValueError("paths need n >= 2 (log n vanishes at n = 1)")
     js = np.flatnonzero(a.counts) + 1
     cum = np.cumsum(a.counts[js - 1])
-    return StepPath(n, np.log(js) / math.log(n), cum, int(cum[-1]))
+    # np.log on both sides, so a cycle of size n sits at u = 1 exactly
+    return StepPath(n, np.log(js) / np.log(n), cum, int(cum[-1]), js)
 
 
-@lru_cache(maxsize=4)
-def _harmonic_cumsum(n: int) -> np.ndarray:
-    """H_1..H_n as a read-only prefix-sum table."""
-    h = np.cumsum(1.0 / np.arange(1, n + 1))
-    h.setflags(write=False)
-    return h
+class _HarmonicTable:
+    """Grow-only prefix sums over j = 0..size, each 0 at j = 0.
+
+    h[j] = H_j is the float64 sequential cumsum of 1/i; a[j] = sum w_i/H_i
+    and c[j] = sum w_i H_i with w_i = log(1 + 1/i) accumulate in long
+    double, since the X2 L2 sum takes differences of them (where long
+    double is plain double, as with MSVC or on Apple arm64, that sum loses
+    about 1e-11 relative at n = 1e6). The table grows in aligned chunks, so
+    temporaries stay one chunk long; each chunk's cumsum starts from the
+    previous chunk's last entry, so an entry does not depend on how far the
+    table has grown.
+    """
+
+    CHUNK = 1 << 15
+
+    def __init__(self) -> None:
+        self.h = np.zeros(1)
+        self.a = np.zeros(1, dtype=np.longdouble)
+        self.c = np.zeros(1, dtype=np.longdouble)
+
+    def upto(self, n: int) -> _HarmonicTable:
+        have = self.h.size - 1
+        if n <= have:
+            return self
+        size = -(-n // self.CHUNK) * self.CHUNK
+        h = np.empty(size + 1)
+        a = np.empty(size + 1, dtype=np.longdouble)
+        c = np.empty(size + 1, dtype=np.longdouble)
+        h[: have + 1], a[: have + 1], c[: have + 1] = self.h, self.a, self.c
+        for lo in range(have, size, self.CHUNK):
+            hi = lo + self.CHUNK + 1
+            j = np.arange(lo + 1, hi)
+            h[lo + 1 : hi] = 1.0 / j
+            np.cumsum(h[lo:hi], out=h[lo:hi])
+            w = np.log1p(1.0 / j.astype(np.longdouble))
+            hj = h[lo + 1 : hi].astype(np.longdouble)
+            a[lo + 1 : hi] = w / hj
+            c[lo + 1 : hi] = w * hj
+            np.cumsum(a[lo:hi], out=a[lo:hi])
+            np.cumsum(c[lo:hi], out=c[lo:hi])
+        self.h, self.a, self.c = h, a, c
+        return self
 
 
-def _intervals(path: StepPath) -> list[tuple[float, float, int]]:
-    """Constancy intervals (a, b, S) with S = S(u) on [a, b); covers [0, 1]."""
-    cuts = np.unique(np.concatenate(([0.0], path.jump_u, [1.0])))
-    out = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        out.append((float(a), float(b), path.value_at(float(a))))
-    if not out:
-        out.append((0.0, 1.0, path.value_at(0.0)))
-    return out
+_TABLE = _HarmonicTable()
+
+
+def _intervals(path: StepPath) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constancy intervals [a, b) of u -> S(u) covering [0, 1], with S on each."""
+    a = np.concatenate(([0.0], path.jump_u))
+    b = np.append(path.jump_u, 1.0)
+    s = np.concatenate(([0], path.cum_counts))
+    keep = b > a
+    return a[keep], b[keep], s[keep].astype(np.float64)
 
 
 def process_value(
@@ -93,7 +142,7 @@ def process_value(
     if which == "X2":
         j = int(math.floor(path.n**u + 1e-9))
         j = min(max(j, 1), path.n)
-        h = float(_harmonic_cumsum(path.n)[j - 1])
+        h = float(_TABLE.upto(path.n).h[j])
         return (s - theta * h) / math.sqrt(theta * h)
     if which == "X3":
         if not u > eps / big_l:
@@ -106,10 +155,39 @@ def process_value(
     return math.sqrt(theta * big_l) * (s / k - u) / math.sqrt(u * (1.0 - u))
 
 
+def _x2_stat(path: StepPath, theta: float) -> tuple[float, float]:
+    """(sup_j |v_j|, sum_{j<n} v_j^2 w_j / log n) over the runs of constant S."""
+    n = path.n
+    table = _TABLE.upto(n)
+    if path.sizes[0] == 1:
+        starts, s = path.sizes, path.cum_counts
+    else:
+        starts = np.concatenate(([1], path.sizes))
+        s = np.concatenate(([0], path.cum_counts))
+    ends = np.append(starts[1:] - 1, n)
+    js = np.concatenate((starts, ends))
+    h = table.h[js]
+    v = (np.concatenate((s, s)) - theta * h) / np.sqrt(theta * h)
+    sup = float(np.abs(v).max())
+    # w_n carries no weight: the last run stops at n - 1 (and may be empty)
+    ends[-1] = n - 1
+    sl = s.astype(np.longdouble)
+    th = np.longdouble(theta)
+    sum_w = np.log1p((ends - starts + 1) / starts.astype(np.longdouble))
+    sum_a = table.a[ends] - table.a[starts - 1]
+    sum_c = table.c[ends] - table.c[starts - 1]
+    l2 = sl * sl / th * sum_a - 2.0 * sl * sum_w + th * sum_c
+    # the expansion cancels where v_j is near 0 (n = 2, S ~ theta H_1);
+    # a one-point run takes v_a^2 w_a directly
+    one = ends == starts
+    l2[one] = v[: starts.size][one] ** 2 * sum_w[one]
+    return sup, float(l2.sum()) / math.log(n)
+
+
 def functional_stat(
     path: StepPath, theta: float, which: str, eps: float = DEFAULT_EPS
 ) -> tuple[float, float]:
-    """Exact (sup |X|, integral X^2) of a process along one path.
+    """Exact (sup |X|, integral X^2) of a process along one path, in O(K_n).
 
     Sups evaluate both endpoints of every constancy interval (each branch
     is monotone in u); L2 integrals use closed-form antiderivatives. X3 and
@@ -119,70 +197,47 @@ def functional_stat(
         raise ValueError(f"unknown process {which!r}")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
+    if which == "X2":
+        return _x2_stat(path, theta)
     big_l = math.log(path.n)
     tl = theta * big_l
     rt = math.sqrt(tl)
-    if which == "X2":
-        n = path.n
-        js = np.arange(1, n + 1)
-        u_all = np.log(js) / big_l
-        idx = np.searchsorted(path.jump_u, u_all, side="right") - 1
-        s_all = np.where(idx >= 0, path.cum_counts[np.maximum(idx, 0)], 0)
-        h_all = _harmonic_cumsum(n)
-        v = (s_all - theta * h_all) / np.sqrt(theta * h_all)
-        sup = float(np.abs(v).max())
-        widths = (np.log(js[1:]) - np.log(js[:-1])) / big_l
-        l2 = float(v[:-1] ** 2 @ widths)
-        return sup, l2
-    sup = 0.0
-    l2 = 0.0
-    w0 = eps / big_l
-    w1 = 1.0 - eps / big_l
-    for a, b, s_int in _intervals(path):
-        s = float(s_int)
-        if which == "X1":
-            sup = max(sup, abs(s - a * tl) / rt, abs(s - b * tl) / rt)
-            big_a = s / tl
-            l2 += tl * ((big_a - a) ** 3 - (big_a - b) ** 3) / 3.0
-        elif which == "X3":
-            lo = max(a, w0)
-            if b <= lo:
-                continue
-            sup = max(
-                sup,
-                abs(s - lo * tl) / math.sqrt(tl * lo),
-                abs(s - b * tl) / math.sqrt(tl * b),
-            )
-            l2 += (
-                s * s * (math.log(b) - math.log(lo))
-                - 2.0 * s * tl * (b - lo)
-                + tl * tl * (b * b - lo * lo) / 2.0
-            ) / tl
-        elif which == "X4":
-            big_a = s / path.k_total
-            sup = max(sup, rt * abs(big_a - a), rt * abs(big_a - b))
-            l2 += tl * ((big_a - a) ** 3 - (big_a - b) ** 3) / 3.0
-        else:
-            lo, hi = max(a, w0), min(b, w1)
-            if lo >= hi:
-                continue
-            big_a = s / path.k_total
-            sup = max(
-                sup,
-                rt * abs(big_a - lo) / math.sqrt(lo * (1.0 - lo)),
-                rt * abs(big_a - hi) / math.sqrt(hi * (1.0 - hi)),
-            )
-            g_hi = _x5_antiderivative(big_a, hi)
-            g_lo = _x5_antiderivative(big_a, lo)
-            l2 += tl * (g_hi - g_lo)
-    return sup, l2
+    a, b, s = _intervals(path)
+    if which in ("X3", "X5"):
+        lo = np.maximum(a, eps / big_l)
+        hi = b if which == "X3" else np.minimum(b, 1.0 - eps / big_l)
+        keep = lo < hi
+        a, b, s = lo[keep], hi[keep], s[keep]
+    u = np.concatenate((a, b))
+    if which in ("X1", "X3"):
+        big_a = s / tl
+        ends = np.abs(np.concatenate((s, s)) - u * tl)
+        ends = ends / (rt if which == "X1" else np.sqrt(tl * u))
+        # X(1) = (K - theta log n)/sqrt(theta log n) lies in no [a, b) when
+        # the last jump sits at u = 1 (a single n-cycle)
+        ends = np.append(ends, abs(path.k_total - tl) / rt)
+    else:
+        big_a = s / path.k_total
+        ends = rt * np.abs(np.concatenate((big_a, big_a)) - u)
+        if which == "X5":
+            ends = ends / np.sqrt(u * (1.0 - u))
+    sup = float(np.max(ends, initial=0.0))
+    if which in ("X1", "X4"):
+        l2 = tl * ((big_a - a) ** 3 - (big_a - b) ** 3) / 3.0
+    elif which == "X3":
+        l2 = (
+            s * s * (np.log(b) - np.log(a))
+            - 2.0 * s * tl * (b - a)
+            + tl * tl * (b * b - a * a) / 2.0
+        ) / tl
+    else:
+        l2 = tl * (_x5_antiderivative(big_a, b) - _x5_antiderivative(big_a, a))
+    return sup, float(l2.sum())
 
 
-def _x5_antiderivative(big_a: float, u: float) -> float:
+def _x5_antiderivative(big_a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Antiderivative of (A-u)^2/(u(1-u)): A^2 log u - (A-1)^2 log(1-u) - u."""
-    first = big_a * big_a * math.log(u) if big_a != 0.0 else 0.0
-    second = (big_a - 1.0) ** 2 * math.log1p(-u) if big_a != 1.0 else 0.0
-    return first - second - u
+    return big_a * big_a * np.log(u) - (big_a - 1.0) ** 2 * np.log1p(-u) - u
 
 
 @dataclass(frozen=True)

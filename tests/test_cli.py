@@ -5,6 +5,7 @@ emit path is exercised. Output files are written to tmp_path; determinism
 is asserted byte for byte.
 """
 
+import csv
 import json
 import os
 
@@ -230,8 +231,6 @@ class TestExitCodes:
         for argv in (
             "pmf --n -3 --theta 1 --dist kn",
             "pmf --n 3 --theta -1 --dist kn",
-            "tv --n 10 --theta 1e200",
-            "bounds --n 10 --theta 1e-300",
             "fclt --n 100 --theta 2 --m 0",
             "sample --sampler kn --n 100 --theta 2 --m -3",
         ):
@@ -239,6 +238,20 @@ class TestExitCodes:
             assert code == 1, argv
             assert out == "" and len(err.splitlines()) == 1, argv
             assert err.startswith("ewens: error: "), argv
+
+    def test_extreme_theta_bounds_hold(self, capsys):
+        # theta^2 under- or overflows here; the closed forms must not
+        code, out, err = run_cli("tv --n 10 --theta 1e200".split(), capsys)
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert [r["name"] for r in rows] == ["kn_tv", "nkn_tv"]
+        for r in rows:
+            assert float(r["closed_form_bound"]) >= float(r["lower"]), r
+        code, out, err = run_cli("bounds --n 10 --theta 1e-300".split(), capsys)
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert {r["name"] for r in rows} >= {"sum_q", "sum_q2"}
+        assert all(r["satisfied"] == "1" for r in rows), rows
 
     def test_errors_go_to_stderr(self, capsys):
         code, out, err = run_cli(["pmf", "--n", "3"], capsys)

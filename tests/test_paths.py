@@ -3,16 +3,24 @@
 The closed-form sup and L2 statistics are checked against frozen values
 obtained by exact symbolic integration of the piecewise definitions (five
 hand-built partitions covering every process), against adaptive quadrature,
-and against the algebraic identities linking the processes. The Brownian
+against the algebraic identities linking the processes, and (for X2)
+against the dense route over every grid point j = 1..n. The Brownian
 reference simulator is validated on known distributional facts.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ewens
 from ewens.laws import EsfParams, Partition
 from ewens.paths import (
     DEFAULT_EPS,
@@ -24,7 +32,7 @@ from ewens.paths import (
     process_value,
     reference_functionals,
 )
-from ewens.sampling import RngState
+from ewens.sampling import RngState, sample_feller
 from ewens.special import kolmogorov_cdf, normal_cdf
 
 # (n, counts, theta) -> {process: (sup, l2)}; values from exact symbolic
@@ -93,6 +101,63 @@ HAND_WORKED = [
 ]
 
 
+def dense_x2(path, theta):
+    """X2 (sup, L2) over every grid point j = 1..n: the O(n) oracle route."""
+    n = path.n
+    big_l = math.log(n)
+    js = np.arange(1, n + 1)
+    u_all = np.log(js) / big_l
+    idx = np.searchsorted(path.jump_u, u_all, side="right") - 1
+    s_all = np.where(idx >= 0, path.cum_counts[np.maximum(idx, 0)], 0)
+    h_all = np.cumsum(1.0 / js)
+    v = (s_all - theta * h_all) / np.sqrt(theta * h_all)
+    widths = (np.log(js[1:]) - np.log(js[:-1])) / big_l
+    return float(np.abs(v).max()), float(v[:-1] ** 2 @ widths)
+
+
+def loop_stat(path, theta, which, eps):
+    """X1, X3-X5 (sup, L2) by a Python loop over constancy intervals: the
+    oracle for the array route."""
+    big_l = math.log(path.n)
+    tl = theta * big_l
+    rt = math.sqrt(tl)
+    cuts = np.unique(np.concatenate(([0.0], path.jump_u, [1.0])))
+    sup = l2 = 0.0
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        s = float(path.value_at(a))
+        if which in ("X3", "X5"):
+            a = max(a, eps / big_l)
+            if which == "X5":
+                b = min(b, 1.0 - eps / big_l)
+            if a >= b:
+                continue
+        if which in ("X1", "X3"):
+            big_a = s / tl
+            wa = rt if which == "X1" else math.sqrt(tl * a)
+            wb = rt if which == "X1" else math.sqrt(tl * b)
+            sup = max(sup, abs(s - a * tl) / wa, abs(s - b * tl) / wb)
+        else:
+            big_a = s / path.k_total
+            wa = 1.0 if which == "X4" else math.sqrt(a * (1.0 - a))
+            wb = 1.0 if which == "X4" else math.sqrt(b * (1.0 - b))
+            sup = max(sup, rt * abs(big_a - a) / wa, rt * abs(big_a - b) / wb)
+        if which in ("X1", "X4"):
+            l2 += tl * ((big_a - a) ** 3 - (big_a - b) ** 3) / 3.0
+        elif which == "X3":
+            l2 += (
+                s * s * math.log(b / a) - 2.0 * s * tl * (b - a) + tl * tl * (b * b - a * a) / 2.0
+            ) / tl
+        else:
+            l2 += tl * (
+                big_a**2 * math.log(b / a)
+                - (big_a - 1.0) ** 2 * (math.log1p(-b) - math.log1p(-a))
+                - (b - a)
+            )
+    if which in ("X1", "X3"):
+        sup = max(sup, abs(path.k_total - tl) / rt)
+    return sup, l2
+
+
 class TestBuildPath:
     def test_two_singletons(self):
         path = build_path(Partition([2, 0]))
@@ -117,6 +182,105 @@ class TestBuildPath:
     def test_rejects_n_one(self):
         with pytest.raises(ValueError):
             build_path(Partition([1]))
+
+    @pytest.mark.parametrize("n", [9170, 94869])
+    def test_size_n_cycle_jumps_at_one(self, n):
+        # math.log(n) and np.log(n) differ in the last bit at these n
+        path = build_path(Partition((0,) * (n - 1) + (1,)))
+        assert path.jump_u[-1] == 1.0
+        assert path.value_at(1.0) == 1
+        assert process_value(path, 1.0, "X4", 1.0) == 0.0
+
+    def test_keeps_integer_sizes(self):
+        path = build_path(Partition([1, 2, 0, 1, 0, 0, 0, 0, 0]))
+        np.testing.assert_array_equal(path.sizes, [1, 2, 4])
+        assert path.sizes.dtype.kind == "i"
+
+
+class TestAgainstLoopRoute:
+    @pytest.mark.parametrize("eps", [DEFAULT_EPS, 0.4, 50.0])
+    @pytest.mark.parametrize("n,theta", [(2, 1.0), (12, 0.3), (1000, 2.0), (50_000, 40.0)])
+    def test_array_route_matches_interval_loop(self, n, theta, eps):
+        root = RngState(4242)
+        for i in range(6):
+            path = build_path(sample_feller(EsfParams(n, theta), root.substream(i), b_max=0).c_n)
+            for which in ("X1", "X3", "X4", "X5"):
+                sup, l2 = functional_stat(path, theta, which, eps)
+                sup_l, l2_l = loop_stat(path, theta, which, eps)
+                assert sup == sup_l, which
+                assert math.isclose(l2, l2_l, rel_tol=1e-12, abs_tol=1e-300), which
+
+    @pytest.mark.parametrize("theta", [1e-9, 0.1, 5.0])
+    def test_sup_includes_the_endpoint_value(self, theta):
+        # one n-cycle: the only jump is at u = 1, where X1 = X3 = (1 - theta L)/sqrt(theta L)
+        path = build_path(Partition((0,) * 999 + (1,)))
+        for which in ("X1", "X3"):
+            end = abs(process_value(path, theta, which, 1.0))
+            sup, _ = functional_stat(path, theta, which)
+            assert math.isclose(sup, max(end, math.sqrt(theta * math.log(1000))), rel_tol=1e-15)
+
+
+class TestX2AgainstDenseRoute:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        n=st.floats(math.log10(2), math.log10(2e5)).map(lambda e: round(10.0**e)),
+        theta=st.floats(-9.0, 9.0).map(lambda e: 10.0**e),
+        draw=st.integers(0, 1000),
+    )
+    def test_runs_match_dense_route(self, n, theta, draw):
+        s = sample_feller(EsfParams(n, theta), RngState(8128).substream(draw), b_max=0)
+        path = build_path(s.c_n)
+        sup, l2 = functional_stat(path, theta, "X2")
+        sup_d, l2_d = dense_x2(path, theta)
+        assert sup == sup_d
+        assert math.isclose(l2, l2_d, rel_tol=1e-12)
+
+    def test_large_n_where_float64_prefix_sums_drift(self):
+        # float64 prefix sums of w_j/H_j and w_j H_j miss 1e-12 here
+        params = EsfParams(800_000, 8.0)
+        for i in range(5):
+            path = build_path(sample_feller(params, RngState(99).substream(i), b_max=0).c_n)
+            sup, l2 = functional_stat(path, params.theta, "X2")
+            sup_d, l2_d = dense_x2(path, params.theta)
+            assert sup == sup_d
+            assert math.isclose(l2, l2_d, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("theta", [1.3, 2.0 * (1.0 + 1e-8)])
+    @pytest.mark.parametrize("counts", [(2, 0), (0, 1), (0, 0, 0, 0, 1), (5, 0, 0, 0, 0)])
+    def test_single_run_edges(self, counts, theta):
+        # a jump at j = 1, at j = n, or both: the first or the last run is
+        # empty; at (2, 0) with theta near 2, v_1 is near 0
+        path = build_path(Partition(counts))
+        sup, l2 = functional_stat(path, theta, "X2")
+        sup_d, l2_d = dense_x2(path, theta)
+        assert sup == sup_d
+        assert math.isclose(l2, l2_d, rel_tol=1e-12)
+
+    def test_table_growth_leaves_results_unchanged(self):
+        # the prefix table is built chunk by chunk from the previous chunk's
+        # last entry, so an entry cannot depend on how far the table grew
+        script = """
+import sys
+import numpy as np
+from ewens.laws import EsfParams, Partition
+from ewens.paths import build_path, functional_stat, process_value
+from ewens.sampling import RngState, sample_feller
+if sys.argv[1] == "grow":
+    counts = np.zeros(1_000_003, dtype=np.int64)
+    counts[-1] = 1
+    process_value(build_path(Partition(counts)), 2.0, "X2", 1.0)
+s = sample_feller(EsfParams(1000, 2.0), RngState(5).substream(0), b_max=0)
+print(repr(functional_stat(build_path(s.c_n), 2.0, "X2")))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(ewens.__file__).parents[1])}
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", script, mode],
+                capture_output=True, check=True, text=True, env=env,
+            ).stdout
+            for mode in ("grow", "fresh")
+        ]
+        assert outs[0] == outs[1] != ""
 
 
 class TestHandWorkedClosedForms:

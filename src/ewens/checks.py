@@ -107,9 +107,12 @@ def _check_singleton() -> str:
         law = laws.singleton_pmf(EsfParams(n, 0.9))
         if float(law.probs.min()) < 0.0:
             raise AssertionError("negative singleton probability")
+    defect = abs(math.fsum(laws.singleton_pmf(EsfParams(40, 1e7)).probs) - 1.0)
+    if defect > 1e-12:
+        raise AssertionError(f"singleton mass defect {defect:.2e} at n=40, theta=1e7")
     if worst > 1e-9:
         raise AssertionError(f"singleton law mismatch {worst:.2e}")
-    return f"max |singleton - enumerated| = {worst:.2e}"
+    return f"max |singleton - enumerated| = {worst:.2e}, mass defect {defect:.2e} at theta=1e7"
 
 
 def _check_singleton_full_identity(n: int) -> str:

@@ -23,10 +23,9 @@ from .laws import (
     kn_mean_var,
     kn_pmf,
     success_probs,
-    t0n_log,
 )
 from .sampling import RngState, sample_feller
-from .special import digamma, log_rising_factorial
+from .special import digamma, harmonic_number, log_rising_factorial
 
 
 def _tol(value: float) -> float:
@@ -52,7 +51,8 @@ def make_report(
     upper: float | None = None,
     detail: str = "",
 ) -> BoundReport:
-    ok = True
+    # a bounded value that is not finite (an overflow) satisfies no bound
+    ok = math.isfinite(value) or (lower is None and upper is None)
     if lower is not None and value < lower - _tol(value):
         ok = False
     if upper is not None and value > upper + _tol(value):
@@ -144,7 +144,11 @@ def prelim_sums(
     ps = success_probs(n, theta)
     qs = failure_probs(n, theta)
     sums = PrelimSums(math.fsum(ps), math.fsum(ps * ps), math.fsum(qs), math.fsum(qs * qs))
-    mu_a_log = theta * math.log1p(n / theta)
+    # n/theta overflows at tiny theta and n*theta at huge theta; neither is
+    # formed (at theta <= 1 the log is a difference, as in _pap1_bound)
+    mu_a_log = theta * (
+        math.log1p(n / theta) if theta > 1.0 else math.log(n + theta) - math.log(theta)
+    )
     reports = [
         make_report(
             "sum_p_gap",
@@ -155,7 +159,7 @@ def prelim_sums(
         ),
         make_report(
             "sum_p2_gap",
-            sums.sum_p2 - n * theta / (n + theta),
+            sums.sum_p2 - n / (1.0 + n / theta),
             lower=0.0,
             upper=1.0,
             detail="sum p_j^2 - n*theta/(n+theta)",
@@ -271,7 +275,8 @@ class DbExact:
 def db_exact(params: EsfParams, b: int) -> DbExact:
     """TV between (C_1..C_b) and independent Poissons, by compound laws.
 
-    d_b(n) = sum_{a>=0} P(T_{0b} = a) (1 - P(T_{bn} = n-a)/P(T_{0n} = n))^+.
+    d_b(n) = sum_{a>=0} P(T_{0b} = a) (1 - P(T_{bn} = n-a)/P(T_{0n} = n))^+,
+    whose ratio is Q_bn(n-a) e^{theta H_b} / Q_0n(n) (see `_tlm_log`).
     Terms with a > n have the ratio identically zero, so they sum to
     P(T_{0b} > n) exactly; that mass is folded in via the complement, which
     makes the truncation slack zero up to float rounding.
@@ -280,14 +285,13 @@ def db_exact(params: EsfParams, b: int) -> DbExact:
     if b != int(b) or not 1 <= b < n:
         raise ValueError(f"b must be in 1..{n - 1}, got {b!r}")
     b = int(b)
-    lt0b = _tlm_log(theta, 0, b, n)
-    ltbn = _tlm_log(theta, b, n, n)
-    lp0n = t0n_log(params)
+    hb = theta * harmonic_number(b)
+    lp0b = _tlm_log(theta, 0, b, n) - hb
     with np.errstate(over="ignore"):
-        ratio = np.exp(ltbn[::-1] - lp0n)
+        ratio = np.exp(_tlm_log(theta, b, n, n)[::-1] + hb - _tlm_log(theta, 0, n, n)[n])
     deficit = np.clip(1.0 - ratio, 0.0, None)
-    head = float(np.exp(lt0b) @ deficit)
-    tail = max(0.0, -math.expm1(float(logsumexp(lt0b))))
+    head = float(np.exp(lp0b) @ deficit)
+    tail = max(0.0, -math.expm1(float(logsumexp(lp0b))))
     return DbExact(head + tail, 0.0)
 
 
@@ -324,7 +328,7 @@ def e_abs_t0b(theta: float, b: int) -> float:
         return 0.0
     m_cut = _ld_quantile(theta, b, math.log(1e-16))
     m_cut = max(m_cut, int(math.ceil(theta * b + 10.0 * math.sqrt(theta * b) + 20.0)))
-    lp = _tlm_log(theta, 0, b, m_cut)
+    lp = _tlm_log(theta, 0, b, m_cut) - theta * harmonic_number(b)
     a = np.arange(m_cut + 1, dtype=np.float64)
     return float(np.exp(lp) @ np.abs(a - theta * b))
 
@@ -487,7 +491,7 @@ def ld_tail_bound(theta: float, b: int, w: float) -> LdTail:
         _ld_quantile(theta, b, min(math.log(1e-20), 3.0 * bound)),
         int(math.ceil(theta * b + 10.0 * math.sqrt(theta * b) + 20.0)),
     )
-    lp = _tlm_log(theta, 0, b, m_cut)
+    lp = _tlm_log(theta, 0, b, m_cut) - theta * harmonic_number(b)
     inside = float(logsumexp(lp[a0:])) if a0 <= m_cut else -math.inf
     remainder = _ld_rate(theta, (m_cut + 1) / b)
     exact = float(np.logaddexp(inside, remainder))

@@ -8,6 +8,10 @@ Conventions used throughout the package:
   p_j = theta/(theta+j-1) and q_j = 1 - p_j in the Bernoulli decomposition
   K_n = 1 + sum_{j=2..n} Bernoulli(p_j);
 * T_{lm} = sum_{j=l+1..m} j*Z_j for independent Z_j ~ Poisson(theta/j);
+  every law of T_{lm} comes from one O(n) kernel, Panjer's recursion for
+  Q_{lm}(v) = P(T_{lm} = v) e^{theta(H_m - H_l)}, and the laws conditioned
+  on T_{0n} = n take ratios of Q in which the e^{-theta H} normalisers
+  cancel exactly;
 * integer laws are carried as `Pmf` windows with explicitly tracked
   tail mass, never silently renormalized.
 """
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -305,79 +308,73 @@ def cjn_mean(params: EsfParams, j: int) -> float:
 def singleton_pmf(params: EsfParams) -> Pmf:
     """Full law of the number of singletons C_1^n on {0..n}.
 
-    P(C_1 = k) = (theta^k/k!) sum_{j=0}^{n-k} (-1)^j (theta^j/j!)
-                 (n+1-k-j)_{k+j} / (n+theta-k-j)_{k+j}.
-
-    For n <= 30 the alternating series is summed in exact rational
-    arithmetic (theta at its exact binary-float value). Beyond that the
-    same law is computed by conditioning the Poisson representation,
-    P(C_1 = k) = P(Z_1 = k) P(T_1n = n-k) / P(T_0n = n), whose log-space
-    convolution has only positive terms and none of the alternating
-    cancellation the series suffers at scale.
+    Conditioning the Poisson representation on T_0n = n gives
+    P(C_1 = k) = (theta^k/k!) Q_1n(n-k) / Q_0n(n), where Q_lm is the law of
+    T_lm without its normaliser (see `_tlm_log`). The factors e^{-theta}
+    and e^{-theta(H_n - 1)} of the numerator cancel e^{-theta H_n} of the
+    denominator exactly, so no theta*H_n is ever formed, and every term of
+    the recursion is positive.
     """
     n, theta = params.n, params.theta
-    if n <= 30:
-        th = Fraction(theta)
-        probs = np.empty(n + 1)
-        for k in range(n + 1):
-            acc = Fraction(0)
-            for j in range(n - k + 1):
-                num = Fraction(1)
-                den = Fraction(1)
-                for i in range(k + j):
-                    num *= n + 1 - k - j + i
-                    den *= th + (n - k - j + i)
-                term = th**j / math.factorial(j) * num / den
-                acc += term if j % 2 == 0 else -term
-            probs[k] = float(th**k / math.factorial(k) * acc)
-        return Pmf(0, probs, 0.0)
-
-    lt = math.log(theta)
-    lt1n = _tlm_log(theta, 1, n, n)
-    lp0n = t0n_log(params)
     ks = np.arange(n + 1)
-    logp = -theta + ks * lt - np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    logp += lt1n[::-1] - lp0n
+    logp = ks * math.log(theta) - gammaln(ks + 1.0)
+    logp += _tlm_log(theta, 1, n, n)[::-1] - _tlm_log(theta, 0, n, n)[n]
     return Pmf(0, np.exp(logp), 0.0)
 
 
 def _tlm_log(theta: float, l: int, m: int, max_value: int) -> np.ndarray:
-    """log P(T_{lm} = v) for v = 0..max_value, T_{lm} = sum_{j=l+1..m} j Z_j.
+    """log Q(v) for v = 0..max_value, Q(v) = P(T_{lm} = v) e^{theta(H_m - H_l)}.
 
-    Log-space dynamic program; each Poisson factor is truncated at
-    k <= max_value // j, whose clipped mass ends up (implicitly) in the
-    complement of the returned window, never renormalized away.
+    Q drops the normaliser P(T_{lm} = 0), which callers subtract or cancel
+    in a ratio; T_{ll} = 0. Panjer's recursion v Q(v) = theta
+    sum_{j=l+1}^{min(v,m)} Q(v-j), Q(0) = 1, adds only positive terms: for
+    v <= m the window is a running prefix sum, beyond m it is summed
+    directly, because a sliding difference would cancel in the far tail.
+    That is O(max_value) for max_value <= m and O(m - l) more per value
+    beyond m. The values still to be read are rescaled by powers of two,
+    which is exact, and each value's exponent is carried into its log.
     """
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise ValueError(f"theta must be positive and finite, got {theta!r}")
+    if not 2.0**-1000 <= theta <= 2.0**1000:
+        raise ValueError(f"theta must lie in [2^-1000, 2^1000], got {theta!r}")
     if l != int(l) or l < 0:
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")
-    if m != int(m) or m <= l:
-        raise ValueError(f"m must be an integer > l = {l}, got {m!r}")
+    if m != int(m) or m < l:
+        raise ValueError(f"m must be an integer >= l = {l}, got {m!r}")
     if max_value != int(max_value) or max_value < 0:
         raise ValueError(f"max_value must be a nonnegative integer, got {max_value!r}")
     l, m, max_value = int(l), int(m), int(max_value)
 
-    lp = np.full(max_value + 1, -np.inf)
-    lp[0] = 0.0
-    for j in range(l + 1, m + 1):
-        lam = theta / j
-        kmax = max_value // j
-        if kmax == 0:
-            lp += -lam
-            continue
-        w = poisson_logpmf(np.arange(kmax + 1), lam)
-        new = lp + w[0]
-        for k in range(1, kmax + 1):
-            shift = k * j
-            np.logaddexp(new[shift:], lp[: max_value + 1 - shift] + w[k], out=new[shift:])
-        lp = new
-    return lp
+    # Live values stay in 2^-k..2^k: theta times a window sum stays finite,
+    # and values about theta (at most 2^1000 or 2^-1000) apart stay normal.
+    k = max(1, min(512, (1000 - math.frexp(theta)[1]) // 2))
+    huge, tiny = 2.0**k, 2.0**-k
+    q = [1.0] + [0.0] * max_value
+    ex = [0] * (max_value + 1)
+    total, e = 0.0, 0
+    for v in range(l + 1, max_value + 1):
+        if v <= m:
+            total += q[v - l - 1]
+            x = theta * total / v
+        else:
+            x = theta * sum(q[v - m : v - l]) / v
+        q[v] = x
+        ex[v] = e
+        if x > huge or 0.0 < x < tiny:
+            s = math.frexp(x)[1]
+            e += s
+            f = 2.0**-s
+            lo = max(0, v + 1 - m) if max_value > m else v - l
+            q[lo : v + 1] = [y * f for y in q[lo : v + 1]]
+            ex[lo : v + 1] = [t + s for t in ex[lo : v + 1]]
+            total *= f  # unused beyond m, where it may overflow harmlessly
+    with np.errstate(divide="ignore"):
+        return np.log(q) + math.log(2.0) * np.array(ex, dtype=np.float64)
 
 
 def tlm_pmf(theta: float, l: int, m: int, max_value: int) -> Pmf:
     """Law of T_{lm} = sum_{j=l+1..m} j Z_j on {0..max_value} plus tail."""
-    lp = _tlm_log(theta, l, m, max_value)
+    h_lm = math.fsum(1.0 / j for j in range(l + 1, m + 1))
+    lp = _tlm_log(theta, l, m, max_value) - theta * h_lm
     tail = max(0.0, -math.expm1(float(logsumexp(lp))))
     return Pmf(0, np.exp(lp), tail)
 
@@ -401,8 +398,9 @@ def conditioned_joint_prob(params: EsfParams, b: int, a_b: Sequence[int]) -> flo
     """P(C_1^n = a_1, ..., C_b^n = a_b) for a prefix of cycle counts.
 
     Uses the conditioning relation: the prefix law equals
-    P(Z_b = a_b) * P(T_{bn} = n - a) / P(T_{0n} = n) with a = sum_j j*a_j;
-    returns 0 when a > n.
+    P(Z_b = a_b) * P(T_{bn} = n - a) / P(T_{0n} = n) with a = sum_j j*a_j,
+    whose normalisers e^{-theta H_b} e^{-theta(H_n - H_b)} / e^{-theta H_n}
+    cancel exactly; returns 0 when a > n.
     """
     n, theta = params.n, params.theta
     if b != int(b) or not 1 <= b <= n:
@@ -417,16 +415,11 @@ def conditioned_joint_prob(params: EsfParams, b: int, a_b: Sequence[int]) -> flo
     if a > n:
         return 0.0
     log_z = math.fsum(
-        v * (math.log(theta) - math.log(j)) - theta / j - math.lgamma(v + 1)
+        v * (math.log(theta) - math.log(j)) - math.lgamma(v + 1)
         for j, v in enumerate(a_b, start=1)
     )
-    if b == n:
-        log_rest = 0.0 if a == n else -math.inf
-    else:
-        log_rest = float(_tlm_log(theta, b, n, n - a)[n - a])
-    if log_rest == -math.inf:
-        return 0.0
-    return math.exp(log_z + log_rest - t0n_log(params))
+    log_rest = _tlm_log(theta, b, n, n - a)[n - a] - _tlm_log(theta, 0, n, n)[n]
+    return math.exp(log_z + log_rest)
 
 
 def tilted_conditioning_check(params: EsfParams, x: float) -> float:

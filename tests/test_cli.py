@@ -7,6 +7,7 @@ is asserted byte for byte.
 
 import csv
 import json
+import math
 import os
 
 import pytest
@@ -252,6 +253,18 @@ class TestExitCodes:
         rows = list(csv.DictReader(out.splitlines()[1:]))
         assert {r["name"] for r in rows} >= {"sum_q", "sum_q2"}
         assert all(r["satisfied"] == "1" for r in rows), rows
+
+    @pytest.mark.parametrize(
+        "argv", ["bounds --n 10 --theta 1e-320", "bounds --n 1000 --theta 1e308"]
+    )
+    def test_bounded_rows_finite_at_float_limits(self, argv, capsys):
+        # n/theta overflows in the first and n*theta in the second
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == 0 and err == ""
+        rows = [r for r in csv.DictReader(out.splitlines()[1:]) if r["lower"] or r["upper"]]
+        assert {"sum_p_gap", "sum_p2_gap"} <= {r["name"] for r in rows}
+        for r in rows:
+            assert math.isfinite(float(r["value"])) and r["satisfied"] == "1", r
 
     def test_errors_go_to_stderr(self, capsys):
         code, out, err = run_cli(["pmf", "--n", "3"], capsys)

@@ -1,7 +1,8 @@
 """Distance and bound tests.
 
 The exact prefix distance is checked against the enumeration oracle on the
-full small-n grid, moment sums against exact rational arithmetic, and every
+full small-n grid and against a 40-digit recursion at n in the thousands,
+moment sums against exact rational arithmetic, and every
 closed-form bound against an inline restatement of its formula. Monte Carlo
 estimates are pinned by seed.
 """
@@ -9,12 +10,14 @@ estimates are pinned by seed.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from ewens.bruteforce import db_bruteforce
 from ewens.distances import (
     appendix_checks,
+    make_report,
     bh_bounds,
     db_exact,
     db_leading_term,
@@ -165,6 +168,38 @@ class TestNknPoissonTv:
         assert r.exact_tv.value <= r.upper_bound + 1e-12
 
 
+def _panjer_mpmath(theta, l, m, max_value):
+    """P(T_lm = v) e^{theta(H_m - H_l)}, v = 0..max_value, by Panjer's recursion.
+
+    v Q(v) = theta sum_{j=l+1}^{min(v,m)} Q(v-j) with the window taken as a
+    difference of prefix sums, at the working precision of mpmath.
+    """
+    q = [mpmath.mpf(1)] + [mpmath.mpf(0)] * max_value
+    prefix = q[:]
+    for v in range(1, max_value + 1):
+        window = prefix[v - l - 1] if v > l else 0
+        if v > m:
+            window -= prefix[v - m - 1]
+        q[v] = theta * window / v
+        prefix[v] = prefix[v - 1] + q[v]
+    return q
+
+
+def db_mpmath(n, theta, b):
+    """d_b(n) = 1 - sum_a min(P(T_0b = a), P(T_0b = a) P(T_bn = n-a)/P(T_0n = n)).
+
+    The terms a > n contribute P(T_0b = a) each, which the leading 1 counts.
+    """
+    with mpmath.workdps(40):
+        th = mpmath.mpf(theta)
+        q0b = _panjer_mpmath(th, 0, b, n)
+        qbn = _panjer_mpmath(th, b, n, n)
+        q0n = mpmath.fsum(q0b[a] * qbn[n - a] for a in range(n + 1))
+        z0b = mpmath.exp(th * mpmath.fsum(mpmath.mpf(1) / j for j in range(1, b + 1)))
+        kept = mpmath.fsum(min(q0b[a] / z0b, q0b[a] * qbn[n - a] / q0n) for a in range(n + 1))
+        return float(1 - kept)
+
+
 class TestDbExact:
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
@@ -183,6 +218,12 @@ class TestDbExact:
     def test_in_unit_interval_at_larger_n(self):
         v = db_exact(EsfParams(500, 2.0), 5).value
         assert 0.0 < v < 1.0
+
+    @pytest.mark.parametrize(
+        "n,theta,b", [(1122, 0.919865, 3), (1612, 1.05706, 9), (1533, 0.765212, 4)]
+    )
+    def test_matches_high_precision_recursion(self, n, theta, b):
+        assert math.isclose(db_exact(EsfParams(n, theta), b).value, db_mpmath(n, theta, b), rel_tol=1e-10)
 
 
 class TestEAbsT0b:
@@ -230,6 +271,13 @@ class TestDbLeadingTerm:
         params = EsfParams(1000, 2.0)
         ratio = db_exact(params, 1).value / db_leading_term(params, 1)
         assert abs(ratio - 1) < 2e-3
+
+
+class TestMakeReport:
+    def test_non_finite_value_is_not_satisfied(self):
+        assert not make_report("x", -math.inf, lower=0.0).satisfied
+        assert not make_report("x", math.nan, upper=1.0).satisfied
+        assert make_report("x", math.inf).satisfied
 
 
 class TestDbwBounds:

@@ -3,7 +3,9 @@
 Reference values are derived independently of the implementation: partition
 probabilities from the defining product formula with exact rationals, the
 block-count law from both the Stirling and the Bernoulli-convolution routes,
-and the weighted-sum law from direct convolution of Poisson atoms.
+the weighted-sum law from direct convolution of Poisson atoms and from a
+log-space dynamic program, and the singleton law from its alternating
+series in exact rationals.
 """
 
 import math
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewens.laws import (
+    _tlm_log,
     EsfParams,
     Partition,
     Pmf,
@@ -182,6 +185,29 @@ class TestCjnMean:
         assert math.isclose(total, kn_mean_var(params)[0], rel_tol=1e-12)
 
 
+def singleton_series(n, theta):
+    """P(C_1 = k), k = 0..n, from the alternating series in exact rationals.
+
+    P(C_1 = k) = (theta^k/k!) sum_{j=0}^{n-k} (-1)^j (theta^j/j!)
+                 (n+1-k-j)_{k+j} / (n+theta-k-j)_{k+j},
+    with theta at its exact binary-float value.
+    """
+    th = Fraction(theta)
+    probs = np.empty(n + 1)
+    for k in range(n + 1):
+        acc = Fraction(0)
+        for j in range(n - k + 1):
+            num = Fraction(1)
+            den = Fraction(1)
+            for i in range(k + j):
+                num *= n + 1 - k - j + i
+                den *= th + (n - k - j + i)
+            term = th**j / math.factorial(j) * num / den
+            acc += term if j % 2 == 0 else -term
+        probs[k] = float(th**k / math.factorial(k) * acc)
+    return probs
+
+
 class TestSingletonPmf:
     def test_hand_worked_n2_theta1(self):
         pmf = singleton_pmf(EsfParams(2, 1.0))
@@ -207,10 +233,25 @@ class TestSingletonPmf:
         expected = float(Fraction(2) ** 40 / math.prod(Fraction(2 + i) for i in range(40)))
         assert math.isclose(pmf.prob(40), expected, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("theta", [1e-9, 0.5, 3.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_matches_rational_series(self, n, theta):
+        pmf = singleton_pmf(EsfParams(n, theta))
+        series = singleton_series(n, theta)
+        for k in range(n + 1):
+            assert math.isclose(pmf.prob(k), series[k], rel_tol=1e-11, abs_tol=1e-15)
+
+    @pytest.mark.parametrize("n,theta", [(40, 1e6), (40, 1e7), (200, 1e8), (500, 1e9)])
+    def test_mass_at_large_theta(self, n, theta):
+        # the e^{-theta H} normalisers cancel exactly instead of being
+        # subtracted as numbers near theta*H_n and added back
+        pmf = singleton_pmf(EsfParams(n, theta))
+        assert abs(math.fsum(pmf.probs) - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("n,theta", [(31, 10.0), (300, 10.0), (500, 0.5)])
     def test_conditioned_route_at_scale(self, n, theta):
-        # the scalable branch: tight mass, exact zero at the impossible
-        # n-1 atom, and the closed-form endpoint
+        # tight mass, exact zero at the impossible n-1 atom, and the
+        # closed-form endpoint
         pmf = singleton_pmf(EsfParams(n, theta))
         assert abs(float(pmf.probs.sum()) - 1.0) < 1e-11
         assert pmf.prob(n - 1) == 0.0
@@ -235,6 +276,29 @@ def poisson_weighted_sum_law(theta, l, m, max_value):
     return probs
 
 
+def tlm_log_dp(theta, l, m, max_value):
+    """log P(T_lm = v), v = 0..max_value, by a log-space dynamic program.
+
+    One Poisson factor per j = l+1..m, each truncated at k <= max_value // j;
+    O(max_value^2 log m).
+    """
+    lp = np.full(max_value + 1, -np.inf)
+    lp[0] = 0.0
+    for j in range(l + 1, m + 1):
+        lam = theta / j
+        kmax = max_value // j
+        if kmax == 0:
+            lp += -lam
+            continue
+        w = poisson_logpmf(np.arange(kmax + 1), lam)
+        new = lp + w[0]
+        for k in range(1, kmax + 1):
+            shift = k * j
+            np.logaddexp(new[shift:], lp[: max_value + 1 - shift] + w[k], out=new[shift:])
+        lp = new
+    return lp
+
+
 class TestTlmPmf:
     def test_hand_worked_t03(self):
         # P(T_03 = 3) has contributions from (3,0,0), (1,1,0), (0,0,1)
@@ -256,6 +320,31 @@ class TestTlmPmf:
     def test_mass_is_complete_up_to_tail(self):
         pmf = tlm_pmf(1.0, 0, 5, 200)
         assert 1.0 - float(pmf.probs.sum()) < 1e-15
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        theta=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        l=st.integers(0, 5),
+        width=st.integers(1, 400),
+        max_value=st.integers(0, 600),
+    )
+    def test_kernel_matches_log_space_dp(self, theta, l, width, max_value):
+        # max_value runs both below and above m, so the kernel's prefix-sum
+        # and direct-window cases are both compared
+        m = min(l + width, 400)
+        want = tlm_log_dp(theta, l, m, max_value)
+        got = _tlm_log(theta, l, m, max_value) - theta * math.fsum(
+            1.0 / j for j in range(l + 1, m + 1)
+        )
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
+
+    @pytest.mark.parametrize("theta", [0.5, 3.0])
+    def test_empty_sum_is_point_mass_at_zero(self, theta):
+        lq = _tlm_log(theta, 4, 4, 6)
+        assert lq[0] == 0.0
+        assert np.all(lq[1:] == -np.inf)
 
 
 class TestT0n:

@@ -126,19 +126,13 @@ class PrelimSums:
     sum_q2: float
 
 
-def prelim_sums(
-    params: EsfParams, case_c_gap: bool | None = None
-) -> tuple[PrelimSums, list[BoundReport]]:
+def prelim_sums(params: EsfParams) -> tuple[PrelimSums, list[BoundReport]]:
     """Moment sums of p_j = theta/(theta+j-1) with their certified sandwiches.
 
     Reports: the four two-sided bounds on sum p, sum p^2, sum q, sum q^2,
     the gap of sum p to the Case-A centering theta*(log n - psi(theta)), and
-    (only when n < theta, or on request) the gap to the Case-C expansion
-    sum_j (theta/j)(n/theta)^j.
-
-    Args:
-        case_c_gap: None = include the Case-C gap iff n < theta; True with
-            n >= theta raises (the expansion diverges there).
+    (only when n < theta; the expansion diverges otherwise) the gap to the
+    Case-C expansion sum_j (theta/j)(n/theta)^j.
     """
     n, theta = params.n, params.theta
     ps = success_probs(n, theta)
@@ -182,12 +176,7 @@ def prelim_sums(
             detail="sum p_j - theta*(log n - psi(theta)); O(theta^2/n) in Case A",
         ),
     ]
-    want_c = n < theta if case_c_gap is None else case_c_gap
-    if want_c:
-        if n >= theta:
-            raise ValueError(
-                f"Case-C expansion needs n < theta, got n={n}, theta={theta}"
-            )
+    if n < theta:
         expansion = math.fsum(
             theta / j * (n / theta) ** j for j in range(1, n + 1)
         )
@@ -346,9 +335,7 @@ def db_leading_term(params: EsfParams, b: int) -> float:
     return (theta - 1.0) / (2.0 * n) * e_abs_t0b(theta, int(b))
 
 
-def dbw_bounds(
-    params: EsfParams, b: int, with_wb1: bool | None = None
-) -> list[BoundReport]:
+def dbw_bounds(params: EsfParams, b: int) -> list[BoundReport]:
     """Closed-form bounds around the prefix TV and Wasserstein distances.
 
     Emits the TV upper bound, the general Wasserstein upper bound, the
@@ -373,10 +360,7 @@ def dbw_bounds(
             detail="upper bound on d_b^W(n), any theta",
         ),
     ]
-    want_wb1 = theta >= 1.0 if with_wb1 is None else with_wb1
-    if want_wb1:
-        if theta < 1.0:
-            raise ValueError(f"wb1 sandwich requires theta >= 1, got {theta}")
+    if theta >= 1.0:
         reports.append(
             make_report(
                 "dbw_lower_wb1",
@@ -437,13 +421,7 @@ class McEstimate:
     bias_bound: float = 0.0
 
 
-def dbw_mc(
-    params: EsfParams,
-    b: int,
-    replicates: int,
-    rng: RngState,
-    tail_bound: float = 1e-4,
-) -> McEstimate:
+def dbw_mc(params: EsfParams, b: int, replicates: int, rng: RngState) -> McEstimate:
     """Feller-coupling estimate of sum_{j<=b} E|C_j^n - Z_j|.
 
     An upper-bound estimator for the prefix Wasserstein distance; the
@@ -459,7 +437,7 @@ def dbw_mc(
     total_sq = 0
     residual = 0.0
     for i in range(replicates):
-        s = sample_feller(params, rng.substream(i), b_max=b, tail_bound=tail_bound)
+        s = sample_feller(params, rng.substream(i), b_max=b)
         x = int(np.abs(s.c_n.counts[:b] - s.c_inf[:b]).sum())
         total += x
         total_sq += x * x
@@ -521,15 +499,15 @@ def _a1_residual(n: int, theta: float) -> float:
     return abs(lead - approx) * n**2 / (n ** (theta - 1.0) * theta**4)
 
 
-def appendix_checks(
-    a1_grid: Sequence[tuple[int, float]] = tuple(
-        (n, th) for n in (10**3, 10**4, 10**5) for th in (2.0, 5.0, 10.0)
-    ),
-    a2_bases: Sequence[float] = (1.1, 2.0, 5.0),
-    a2_max_b: int = 50,
-    a3_grid: Sequence[tuple[float, int]] = ((0.5, 2), (1.0, 3), (2.0, 5), (5.0, 4)),
-    jn_grid: Sequence[tuple[int, float]] = ((10**4, 2.0), (10**6, 5.0)),
-) -> list[BoundReport]:
+# The fixed parameter grids of `appendix_checks`
+_A1_GRID = tuple((n, th) for n in (10**3, 10**4, 10**5) for th in (2.0, 5.0, 10.0))
+_A2_BASES = (1.1, 2.0, 5.0)
+_A2_MAX_B = 50
+_A3_GRID = ((0.5, 2), (1.0, 3), (2.0, 5), (5.0, 4))
+_JN_GRID = ((10**4, 2.0), (10**6, 5.0))
+
+
+def appendix_checks() -> list[BoundReport]:
     """Inequality checks for the auxiliary expansions.
 
     Covers: the rising-factorial residual (normalized values stay below a
@@ -538,7 +516,7 @@ def appendix_checks(
     min(b*theta*log n, b^(2/3)(theta n)^(1/3)) branch switch.
     """
     reports = []
-    for n, th in a1_grid:
+    for n, th in _A1_GRID:
         reports.append(
             make_report(
                 f"a1_residual_n{n}_theta{th:g}",
@@ -547,11 +525,9 @@ def appendix_checks(
                 detail="|R| n^2 / (n^(theta-1) theta^4)",
             )
         )
-    for a in a2_bases:
-        if a <= 1.0:
-            raise ValueError(f"a2 bases must exceed 1, got {a}")
+    for a in _A2_BASES:
         worst = -math.inf
-        for bb in range(1, a2_max_b + 1):
+        for bb in range(1, _A2_MAX_B + 1):
             lhs = math.fsum(a**j / j for j in range(1, bb + 1))
             rhs = math.log(bb) + a**bb
             worst = max(worst, lhs - rhs)
@@ -560,10 +536,10 @@ def appendix_checks(
                 f"a2_partial_sum_a{a:g}",
                 worst,
                 upper=0.0,
-                detail=f"max over b<={a2_max_b} of sum a^j/j - (log b + a^b)",
+                detail=f"max over b<={_A2_MAX_B} of sum a^j/j - (log b + a^b)",
             )
         )
-    for a, bb in a3_grid:
+    for a, bb in _A3_GRID:
         xs = [a + 0.1 * 1.35**i for i in range(30)]
         vals = []
         for x in xs:
@@ -580,10 +556,8 @@ def appendix_checks(
                 detail="min increment of (x-a)_b/(x)_b over increasing x",
             )
         )
-    for n, th in jn_grid:
+    for n, th in _JN_GRID:
         b_star = n / (th**2 * math.log(n) ** 3)
-        if b_star < 1.0:
-            continue
         worst = -math.inf
         bs = sorted({int(round(b_star * f)) for f in (0.1, 0.25, 0.5, 0.75, 1.0)})
         for bb in bs:

@@ -120,6 +120,21 @@ class TestSample:
         assert code == 0
         assert "residual_bound" in out
 
+    def test_no_parsed_value_leaks_between_calls(self, capsys):
+        argv = ["sample", "--sampler", "feller", "--n", "50", "--theta", "2", "--seed", "1"]
+        code, out, _ = run_cli(argv + ["--b-max", "3"], capsys)
+        assert code == 0 and "residual_bound" in out
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and "residual_bound" not in out
+
+    def test_bad_env_seed_only_fails_seeded_subcommands(self, capsys, monkeypatch):
+        monkeypatch.setenv("ESF_SEED", "abc")
+        code, out, err = run_cli(["moments", "--n", "5", "--theta", "2"], capsys)
+        assert code == 0 and err == ""
+        code, out, err = run_cli(["sample", "--sampler", "kn", "--n", "10", "--theta", "2"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("ewens: error: "), err
+
 
 class TestMoments:
     def test_fields_present(self, capsys):
@@ -229,16 +244,21 @@ class TestExitCodes:
         assert run_cli(["frobnicate"], capsys)[0] == 1
 
     def test_invalid_values_are_one(self, capsys):
-        for argv in (
-            "pmf --n -3 --theta 1 --dist kn",
-            "pmf --n 3 --theta -1 --dist kn",
-            "fclt --n 100 --theta 2 --m 0",
-            "sample --sampler kn --n 100 --theta 2 --m -3",
+        # each error line names the offending value
+        for argv, named in (
+            ("pmf --n -3 --theta 1 --dist kn", "n must"),
+            ("pmf --n 3 --theta -1 --dist kn", "theta must"),
+            ("fclt --n 100 --theta 2 --m 0", "--m:"),
+            ("sample --sampler kn --n 100 --theta 2 --m -3", "--m:"),
+            ("leading-term --theta 2 --b 3 --n-grid a,b", "--n-grid:"),
+            ("leading-term --theta 2 --b 3 --n-grid ,", "--n-grid:"),
+            ("regime --coeff 1 --exponent 0.5 --n 100 --mc -1", "--mc:"),
         ):
             code, out, err = run_cli(argv.split(), capsys)
             assert code == 1, argv
             assert out == "" and len(err.splitlines()) == 1, argv
             assert err.startswith("ewens: error: "), argv
+            assert named in err, (argv, err)
 
     def test_extreme_theta_bounds_hold(self, capsys):
         # theta^2 under- or overflows here; the closed forms must not

@@ -115,10 +115,10 @@ class TestPrelimSums:
             assert r.satisfied, f"{r.name}: {r.detail}"
 
     def test_case_c_gap_needs_small_n(self):
-        _, reports = prelim_sums(EsfParams(5, 100.0), case_c_gap=True)
+        _, reports = prelim_sums(EsfParams(5, 100.0))
         assert any(r.name == "case_c_centering_gap" for r in reports)
-        with pytest.raises(ValueError):
-            prelim_sums(EsfParams(100, 2.0), case_c_gap=True)
+        _, reports = prelim_sums(EsfParams(100, 2.0))
+        assert all(r.name != "case_c_centering_gap" for r in reports)
 
 
 class TestKnPoissonTv:
@@ -303,8 +303,6 @@ class TestDbwBounds:
         assert math.isclose(reports["dbw_upper"].value, float(Fraction(650, 99)), rel_tol=1e-14)
 
     def test_wb1_refused_below_theta_one(self):
-        with pytest.raises(ValueError):
-            dbw_bounds(EsfParams(50, 0.5), 10, with_wb1=True)
         names = [r.name for r in dbw_bounds(EsfParams(50, 0.5), 10)]
         assert "dbw_lower_wb1" not in names
 

@@ -160,18 +160,15 @@ def _run_sample(ns: argparse.Namespace) -> int:
         _table(ns, ["rep", "k"], rows, meta)
         return 0
     rows = []
-    if ns.sampler == "crp":
-        for i in range(m):
+    for i in range(m):
+        if ns.sampler == "crp":
             part = sampling.sample_crp(p, rng.substream(i))
-            rows += [[i, j + 1, int(c)] for j, c in enumerate(part.counts) if c]
-    else:
-        residual = 0.0
-        for i in range(m):
+        else:
             s = sampling.sample_feller(p, rng.substream(i), b_max=ns.b_max, tail_bound=ns.tail_bound)
-            rows += [[i, j + 1, int(c)] for j, c in enumerate(s.c_n.counts) if c]
-            residual = s.residual
-        if ns.b_max:
-            meta["residual_bound"] = _f17(residual)
+            part = s.c_n
+        rows += [[i, j, c] for j, c in zip(part.sizes.tolist(), part.mults.tolist())]
+    if ns.sampler == "feller" and ns.b_max:
+        meta["residual_bound"] = _f17(s.residual)
     _table(ns, ["rep", "j", "count"], rows, meta)
     return 0
 
@@ -325,30 +322,11 @@ def _run_fclt(ns: argparse.Namespace) -> int:
         )
         ks = paths.ks_distance(sample, ref)
         reference = "gaussian_simulation"
-    summary = {
-        "which": which,
-        "stat": stat,
-        "n": p.n,
-        "theta": p.theta,
-        "eps": ns.eps,
-        "m": ns.m,
-        "seed": seed,
-        "reference": reference,
-        "ks": ks,
-        "ks_tol": ns.ks_tol,
-        "pass": bool(ks < ns.ks_tol),
-    }
-    csv_text = _csv_text(
-        ["value"],
-        [[float(v)] for v in sample.values],
-        f"seed={seed} n={p.n} theta={p.theta} which={which} stat={stat}",
-    )
-    if ns.out is not None:
-        _emit(csv_text, ns.out)
-        sys.stdout.write(_json_text(summary))
-    else:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(_json_text(summary))
+    meta = {"seed": seed, "n": p.n, "theta": p.theta, "which": which, "stat": stat}
+    _table(ns, ["value"], [[float(v)] for v in sample.values], meta)
+    summary = dict(meta, eps=ns.eps, m=ns.m, reference=reference, ks=ks, ks_tol=ns.ks_tol)
+    summary["pass"] = bool(ks < ns.ks_tol)
+    (sys.stderr if ns.out is None else sys.stdout).write(_json_text(summary))
     return 0
 
 
@@ -361,13 +339,14 @@ def _run_check(ns: argparse.Namespace) -> int:
     return 2 if n_bad else 0
 
 
-def _at_least(lo: int):
-    """argparse type: an integer no smaller than `lo`."""
+def _at_least(lo: int, zero_ok: bool = False):
+    """argparse type: an integer no smaller than `lo` (or 0, if `zero_ok`)."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if value < lo and not (zero_ok and value == 0):
+            floor = f"0 or at least {lo}" if zero_ok else f"at least {lo}"
+            raise argparse.ArgumentTypeError(f"must be {floor}, got {value}")
         return value
 
     parse.__name__ = "int"  # a non-integer reads "invalid int value: 'x'"
@@ -435,7 +414,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--coeff", type=float, required=True)
     sp.add_argument("--exponent", type=float, required=True)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--mc", type=_at_least(0), default=0)
+    sp.add_argument("--mc", type=_at_least(regimes.MIN_REPLICATES, zero_ok=True), default=0)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out", default=None)
 
@@ -443,10 +422,10 @@ def _build_parser() -> _Parser:
     common(sp, _run_fclt)
     sp.add_argument("--which", choices=paths._PROCESSES, default="X4")
     sp.add_argument("--stat", choices=("sup", "l2"), default="sup")
-    sp.add_argument("--m", type=_at_least(1), default=2000)
+    sp.add_argument("--m", type=_at_least(paths.MIN_REPLICATES), default=2000)
     sp.add_argument("--eps", type=float, default=paths.DEFAULT_EPS)
-    sp.add_argument("--grid-m", type=int, default=2**12)
-    sp.add_argument("--ref-m", type=int, default=10**4)
+    sp.add_argument("--grid-m", type=_at_least(paths.MIN_GRID_M), default=2**12)
+    sp.add_argument("--ref-m", type=_at_least(paths.MIN_REF_REPLICATES), default=10**4)
     sp.add_argument("--ks-tol", type=float, default=0.05)
     sp.add_argument("--seed", type=int)
 

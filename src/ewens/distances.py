@@ -438,7 +438,7 @@ def dbw_mc(params: EsfParams, b: int, replicates: int, rng: RngState) -> McEstim
     residual = 0.0
     for i in range(replicates):
         s = sample_feller(params, rng.substream(i), b_max=b)
-        x = int(np.abs(s.c_n.counts[:b] - s.c_inf[:b]).sum())
+        x = int(np.abs(s.c_n.prefix(b) - s.c_inf).sum())
         total += x
         total_sq += x * x
         residual = s.residual

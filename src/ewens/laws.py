@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* a partition of n is the vector of cycle counts (c_1, ..., c_n) with
-  sum_j j*c_j = n;
+* a partition of n has cycle counts (c_1, ..., c_n) with sum_j j*c_j = n;
+  a `Partition` stores only the sizes j with c_j > 0 and those c_j;
 * K_n = sum_j c_j is the number of blocks, with success probabilities
   p_j = theta/(theta+j-1) and q_j = 1 - p_j in the Bernoulli decomposition
   K_n = 1 + sum_{j=2..n} Bernoulli(p_j);
@@ -55,40 +55,77 @@ class EsfParams:
 
 
 class Partition:
-    """Cycle-count vector (c_1, ..., c_n) of a partition of n."""
+    """A partition of n as its distinct block sizes and their multiplicities.
 
-    __slots__ = ("n", "counts")
+    `sizes` increases within 1..n, each entry of `mults` is at least 1 and
+    sizes @ mults = n, so a partition with K distinct block sizes is stored
+    and checked in O(K); the cycle-count vector (c_1, ..., c_n) is built
+    only when `counts` or `prefix` is read.
+    """
+
+    __slots__ = ("n", "sizes", "mults")
 
     def __init__(self, counts: Sequence[int] | np.ndarray):
+        """From the cycle-count vector (c_1, ..., c_n); n is its length."""
         arr = np.asarray(counts, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a nonempty 1-d integer vector")
         if np.any(arr < 0):
             raise ValueError("counts must be nonnegative")
-        n = arr.size
-        weighted = int(np.arange(1, n + 1, dtype=np.int64) @ arr)
-        if weighted != n:
-            raise ValueError(
-                f"counts encode weight {weighted}, expected n = {n} (vector length)"
-            )
-        self.n = n
-        self.counts = arr
+        idx = np.flatnonzero(arr)
+        self._set(arr.size, idx + 1, arr[idx])
+
+    @classmethod
+    def from_blocks(cls, blocks: Sequence[int] | np.ndarray) -> Partition:
+        """The partition of n = sum(blocks) whose blocks have these sizes."""
+        sizes, mults = np.unique(np.asarray(blocks, dtype=np.int64), return_counts=True)
+        part = cls.__new__(cls)
+        part._set(int(sizes @ mults), sizes, mults)
+        return part
+
+    def _set(self, n: int, sizes: np.ndarray, mults: np.ndarray) -> None:
+        # both constructors give increasing sizes and mults >= 1
+        if sizes.size == 0 or sizes[0] < 1:
+            raise ValueError("a partition needs at least one block, and block sizes >= 1")
+        weight = int(sizes @ mults)
+        if weight != n:
+            raise ValueError(f"blocks weigh {weight}, expected n = {n}")
+        self.n, self.sizes, self.mults = n, sizes, mults.astype(np.int64, copy=False)
 
     @property
     def num_blocks(self) -> int:
-        return int(self.counts.sum())
+        return int(self.mults.sum())
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense vector (c_1, ..., c_n), built on each read."""
+        return self.prefix(self.n)
+
+    def prefix(self, b: int) -> np.ndarray:
+        """(c_1, ..., c_b) for 0 <= b <= n, in O(b + log K)."""
+        if not 0 <= b <= self.n:
+            raise ValueError(f"prefix length must be in 0..{self.n}, got {b!r}")
+        out = np.zeros(b, dtype=np.int64)
+        k = int(np.searchsorted(self.sizes, b, side="right"))
+        out[self.sizes[:k] - 1] = self.mults[:k]
+        return out
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.counts)
+        return tuple(self.counts.tolist())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self.as_tuple() == other.as_tuple()
+        return (
+            isinstance(other, Partition)
+            and self.n == other.n
+            and np.array_equal(self.sizes, other.sizes)
+            and np.array_equal(self.mults, other.mults)
+        )
 
     def __hash__(self) -> int:
-        return hash(self.as_tuple())
+        return hash((self.n, self.sizes.tobytes(), self.mults.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Partition({self.as_tuple()})"
+        return f"Partition(n={self.n}, sizes={self.sizes.tolist()}, mults={self.mults.tolist()})"
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
@@ -205,10 +242,8 @@ def esf_pmf(params: EsfParams, a: Partition) -> float:
     n, theta = params.n, params.theta
     logp = math.lgamma(n + 1) - log_rising_factorial(theta, n)
     lt = math.log(theta)
-    for j, cj in enumerate(a.counts, start=1):
-        if cj:
-            cj = int(cj)
-            logp += cj * (lt - math.log(j)) - math.lgamma(cj + 1)
+    for j, cj in zip(a.sizes.tolist(), a.mults.tolist()):
+        logp += cj * (lt - math.log(j)) - math.lgamma(cj + 1)
     return math.exp(logp)
 
 

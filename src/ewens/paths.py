@@ -24,6 +24,9 @@ from .sampling import RngState, sample_feller
 
 _PROCESSES = ("X1", "X2", "X3", "X4", "X5")
 DEFAULT_EPS = 0.01
+MIN_REPLICATES = 10**3  # mc_functionals
+MIN_REF_REPLICATES = 100  # reference_functionals
+MIN_GRID_M = 2**10  # reference_functionals
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,7 @@ class StepPath:
 
     sizes holds the distinct cycle sizes j present and jump_u their
     log j / log n; cum_counts the cumulative count at each jump; k_total the
-    final block count.
+    final block count. Only `build_path` makes one, from a valid `Partition`.
     """
 
     n: int
@@ -40,20 +43,6 @@ class StepPath:
     cum_counts: np.ndarray
     k_total: int
     sizes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("paths need n >= 2 (log n vanishes at n = 1)")
-        if self.sizes.shape != self.jump_u.shape or self.sizes.shape != self.cum_counts.shape:
-            raise ValueError("sizes, jump locations and counts must have one entry per jump")
-        if self.sizes.size and not 1 <= self.sizes[0] <= self.sizes[-1] <= self.n:
-            raise ValueError(f"cycle sizes must lie in 1..{self.n}")
-        if np.any(np.diff(self.sizes) <= 0) or np.any(np.diff(self.jump_u) <= 0.0):
-            raise ValueError("jump locations must be strictly increasing")
-        if np.any(np.diff(self.cum_counts) <= 0):
-            raise ValueError("cumulative counts must be strictly increasing")
-        if self.cum_counts.size and int(self.cum_counts[-1]) != self.k_total:
-            raise ValueError("final cumulative count must equal k_total")
 
     def value_at(self, u: float) -> int:
         """S(u): cumulative count at the largest jump <= u."""
@@ -66,10 +55,9 @@ def build_path(a: Partition) -> StepPath:
     n = a.n
     if n < 2:
         raise ValueError("paths need n >= 2 (log n vanishes at n = 1)")
-    js = np.flatnonzero(a.counts) + 1
-    cum = np.cumsum(a.counts[js - 1])
+    cum = np.cumsum(a.mults)
     # np.log on both sides, so a cycle of size n sits at u = 1 exactly
-    return StepPath(n, np.log(js) / np.log(n), cum, int(cum[-1]), js)
+    return StepPath(n, np.log(a.sizes) / np.log(n), cum, int(cum[-1]), a.sizes)
 
 
 class _HarmonicTable:
@@ -271,8 +259,8 @@ def mc_functionals(
     One derived substream per replicate; the Feller coupling draws the
     partition (extension disabled, only C^n is needed).
     """
-    if replicates < 10**3:
-        raise ValueError(f"need at least 1000 replicates, got {replicates}")
+    if replicates < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
     idx = 0 if stat_kind == "sup" else 1
     if stat_kind not in ("sup", "l2"):
         raise ValueError(f"stat_kind must be sup or l2, got {stat_kind!r}")
@@ -310,10 +298,10 @@ def reference_functionals(
         raise ValueError(f"unknown process {which!r}")
     if stat_kind not in ("sup", "l2"):
         raise ValueError(f"stat_kind must be sup or l2, got {stat_kind!r}")
-    if grid_m < 2**10:
-        raise ValueError(f"grid_m must be at least 1024, got {grid_m}")
-    if replicates < 100:
-        raise ValueError(f"need at least 100 replicates, got {replicates}")
+    if grid_m < MIN_GRID_M:
+        raise ValueError(f"grid_m must be at least {MIN_GRID_M}, got {grid_m}")
+    if replicates < MIN_REF_REPLICATES:
+        raise ValueError(f"need at least {MIN_REF_REPLICATES} replicates, got {replicates}")
     if which in ("X3", "X5") and not 0.0 < eps < 0.5:
         raise ValueError(f"weighted references need eps in (0, 0.5), got {eps!r}")
     t = np.arange(grid_m + 1) / grid_m

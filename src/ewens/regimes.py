@@ -17,6 +17,8 @@ from .laws import EsfParams, Pmf, poisson_logpmf
 from .sampling import RngState, sample_kn
 from .special import harmonic_number, log_rising_factorial, normal_cdf
 
+MIN_REPLICATES = 10**3  # zn_mc_distribution
+
 
 @dataclass(frozen=True)
 class GrowthRule:
@@ -194,8 +196,8 @@ def zn_mc_distribution(
     One independent substream per replicate; K_n is drawn exactly from its
     Bernoulli representation.
     """
-    if replicates < 10**3:
-        raise ValueError(f"need at least 1000 replicates, got {replicates}")
+    if replicates < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
     params = EsfParams(n, rule.theta_at(n))
     std = standardize(params)
     sigma = math.sqrt(std.sigma2)

@@ -63,10 +63,11 @@ class RngState:
 class FellerSample:
     """One coupled draw of the cycle counts and their Poisson companions.
 
-    c_inf[j-1] counts spacings of size j between successive successes of the
-    extended Bernoulli sequence; `residual` is a certified upper bound on the
-    expected number of spacings of size <= b_max missed beyond the sampling
-    horizon (0.0 when the extension was disabled with b_max = 0).
+    c_inf[j-1] for j = 1..b_max counts spacings of size j between successive
+    successes of the extended Bernoulli sequence (no larger size is kept);
+    `residual` is a certified upper bound on the expected number of spacings
+    of size <= b_max missed beyond the sampling horizon (0.0, with c_inf
+    empty, when the extension was disabled with b_max = 0).
     """
 
     c_n: Partition
@@ -96,9 +97,8 @@ def sample_feller(
     Args:
         params: (n, theta).
         rng: generator state; one sample consumes one state.
-        b_max: largest spacing size the caller will read from c_inf
-            (defaults to n). 0 disables the extension entirely, leaving
-            c_inf with the in-window spacings only.
+        b_max: largest spacing size kept in c_inf (defaults to n). 0
+            disables the extension entirely and leaves c_inf empty.
         tail_bound: certified bias budget for the extension.
     """
     n, theta = params.n, params.theta
@@ -117,12 +117,9 @@ def sample_feller(
     pos = np.flatnonzero(xi) + 1
     gaps = np.diff(pos)
 
-    window = np.bincount(gaps, minlength=n + 1)[1 : n + 1].astype(np.int64)
-    c_full = window.copy()
     boundary = n + 1 - int(pos[-1])  # in 1..n since pos[-1] <= n
-    c_full[boundary - 1] += 1
-    part = Partition(c_full)
-    c_inf = window
+    part = Partition.from_blocks(np.append(gaps, boundary))
+    c_inf = np.bincount(gaps[gaps <= b_max], minlength=b_max + 1)[1:]
 
     residual = 0.0
     if b_max > 0:
@@ -132,12 +129,12 @@ def sample_feller(
         g = _geometric(gen, w)
         t = n + g
         spacing = t - int(pos[-1])
-        if spacing <= n:
+        if spacing <= b_max:
             c_inf[spacing - 1] += 1
         while t <= horizon:
             w = gen.beta(theta, t)
             g = _geometric(gen, w)
-            if g <= n:
+            if g <= b_max:
                 c_inf[g - 1] += 1
             t += g
         residual = b_max * theta * theta / (theta + horizon - 1.0)
@@ -188,8 +185,7 @@ def sample_crp(params: EsfParams, rng: RngState) -> Partition:
             b = block_of[t]
             sizes[b] += 1
             block_of[i] = b
-    counts = np.bincount(np.asarray(sizes, dtype=np.int64), minlength=n + 1)[1 : n + 1]
-    return Partition(counts)
+    return Partition.from_blocks(sizes)
 
 
 def sample_kn(params: EsfParams, rng: RngState) -> int:

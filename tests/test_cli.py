@@ -6,6 +6,7 @@ is asserted byte for byte.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -120,6 +121,26 @@ class TestSample:
         assert code == 0
         assert "residual_bound" in out
 
+    # sha256 of stdout, recorded before partitions were stored as block
+    # sizes and multiplicities; a change of random stream updates them on purpose
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "sample --sampler feller --n 1000 --theta 2 --m 3 --seed 42 --b-max 5",
+                "1f89db21af51483937a755a98503b5c2fcef5788a7331dae08c253d8798fe24e",
+            ),
+            (
+                "sample --sampler crp --n 500 --theta 3 --m 4 --seed 7",
+                "80be71c76530201b6fe6d049ad85c9d70658a73536a306b56075bcf3e3a9ccdf",
+            ),
+        ],
+    )
+    def test_pinned_output_digest(self, argv, digest, capsys):
+        code, out, _ = run_cli(argv.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_no_parsed_value_leaks_between_calls(self, capsys):
         argv = ["sample", "--sampler", "feller", "--n", "50", "--theta", "2", "--seed", "1"]
         code, out, _ = run_cli(argv + ["--b-max", "3"], capsys)
@@ -220,6 +241,14 @@ class TestFclt:
         assert lines[0].startswith("#")
         assert len(lines) == 2 + 1000  # comment, header, values
 
+    def test_json_format(self, capsys):
+        argv = "fclt --n 100 --theta 2 --m 1000 --format json --seed 3".split()
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["columns"] == ["value"] and len(doc["rows"]) == 1000
+        assert json.loads(err)["m"] == 1000
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         argv = ["fclt", "--n", "400", "--theta", "1", "--m", "1000"]
         a = run_cli(argv + ["--out", str(tmp_path / "a.csv")], capsys)
@@ -253,6 +282,10 @@ class TestExitCodes:
             ("leading-term --theta 2 --b 3 --n-grid a,b", "--n-grid:"),
             ("leading-term --theta 2 --b 3 --n-grid ,", "--n-grid:"),
             ("regime --coeff 1 --exponent 0.5 --n 100 --mc -1", "--mc:"),
+            ("regime --coeff 1 --exponent 0.5 --n 100 --mc 200", "--mc:"),
+            ("fclt --n 100 --theta 2 --m 999", "--m:"),
+            ("fclt --n 100 --theta 2 --m 1000 --ref-m 99", "--ref-m:"),
+            ("fclt --n 100 --theta 2 --m 1000 --grid-m 1023", "--grid-m:"),
         ):
             code, out, err = run_cli(argv.split(), capsys)
             assert code == 1, argv

@@ -72,6 +72,49 @@ class TestEsfPmf:
             Partition([1, 1])  # weight 3, length 2
 
 
+def random_blocks(rng, n):
+    """Block sizes of a random partition of n, in random order."""
+    blocks = []
+    while n:
+        top = n if rng.random() < 0.3 else min(n, 4)  # mostly small blocks
+        size = int(rng.integers(1, top + 1))
+        blocks.append(size)
+        n -= size
+    return rng.permutation(blocks)
+
+
+class TestPartition:
+    def test_block_list_constructor_matches_counts(self):
+        rng = np.random.default_rng(909)
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            blocks = random_blocks(rng, n)
+            counts = np.bincount(blocks, minlength=n + 1)[1:]
+            a, b = Partition.from_blocks(blocks), Partition(counts)
+            assert a == b and hash(a) == hash(b) and a.n == b.n == n
+            np.testing.assert_array_equal(a.counts, counts)
+            assert a.as_tuple() == tuple(counts.tolist())
+            assert a.num_blocks == len(blocks)
+            assert np.all(np.diff(a.sizes) > 0) and np.all(a.mults >= 1)
+            for k in {0, 1, int(rng.integers(0, n + 1)), n}:
+                np.testing.assert_array_equal(a.prefix(k), counts[:k])
+
+    def test_equality_reads_sizes_and_mults(self):
+        assert Partition([2, 1, 0, 0]) != Partition([0, 0, 0, 1])
+        assert Partition.from_blocks([3, 1, 1]) == Partition([2, 0, 1, 0, 0])
+        assert len({Partition([1, 1, 0]), Partition.from_blocks([2, 1])}) == 1
+
+    @pytest.mark.parametrize("blocks", [[], [0, 2], [-1, 3]])
+    def test_block_list_rejects_bad_sizes(self, blocks):
+        with pytest.raises(ValueError):
+            Partition.from_blocks(blocks)
+
+    @pytest.mark.parametrize("b", [-1, 4])
+    def test_prefix_length_checked(self, b):
+        with pytest.raises(ValueError):
+            Partition([1, 1, 0]).prefix(b)
+
+
 class TestPartitionsOf:
     def test_counts_match_partition_function(self):
         # p(n) for n = 1..16

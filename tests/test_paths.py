@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,22 @@ class TestBuildPath:
         assert path.jump_u[-1] == 1.0
         assert path.value_at(1.0) == 1
         assert process_value(path, 1.0, "X4", 1.0) == 0.0
+
+    def test_draw_to_path_builds_no_length_n_vector(self):
+        params = EsfParams(10**6, 2.0)
+        build_path(sample_feller(params, RngState(1), b_max=0).c_n)  # caches p_j
+        tracemalloc.start()
+        try:
+            draw = sample_feller(params, RngState(2), b_max=0)
+            path = build_path(draw.c_n)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the window's 1e6 uniforms (8 MB) and success mask (1 MB) are the
+        # peak; one dense int64 count vector would add another 8 MB
+        assert peak < 12 * 2**20
+        assert retained < 2**20
+        assert path.k_total == draw.c_n.num_blocks
 
     def test_keeps_integer_sizes(self):
         path = build_path(Partition([1, 2, 0, 1, 0, 0, 0, 0, 0]))

@@ -120,6 +120,12 @@ class TestFellerSampler:
         )
         assert tv < 0.02
 
+    @pytest.mark.parametrize("b_max", [0, 1, 5, 100])
+    def test_companion_keeps_b_max_sizes(self, b_max):
+        s = sample_feller(EsfParams(100, 3.0), RngState(8), b_max=b_max)
+        assert s.c_inf.size == b_max
+        assert s.c_inf.dtype == np.int64 and np.all(s.c_inf >= 0)
+
     def test_companion_marginals_match_poisson_means(self):
         # E C_j^inf = theta / j; check j = 1..3 within 5 SE at theta = 3
         params = EsfParams(100, 3.0)

@@ -155,6 +155,10 @@ def _run_sample(ns: argparse.Namespace) -> int:
     seed = _seed(ns)
     rng = RngState(seed)
     meta = {"n": p.n, "theta": p.theta, "sampler": ns.sampler, "seed": seed, "m": m}
+    # only the Feller sampler has an extension to tune
+    extension = {k: v for k, v in (("b_max", ns.b_max), ("tail_bound", ns.tail_bound)) if v is not None}
+    if extension and ns.sampler != "feller":
+        raise ValueError(f"--{next(iter(extension)).replace('_', '-')} applies to --sampler feller only")
     if ns.sampler == "kn":
         rows = [[i, sampling.sample_kn(p, rng.substream(i))] for i in range(m)]
         _table(ns, ["rep", "k"], rows, meta)
@@ -164,7 +168,7 @@ def _run_sample(ns: argparse.Namespace) -> int:
         if ns.sampler == "crp":
             part = sampling.sample_crp(p, rng.substream(i))
         else:
-            s = sampling.sample_feller(p, rng.substream(i), b_max=ns.b_max, tail_bound=ns.tail_bound)
+            s = sampling.sample_feller(p, rng.substream(i), **{"b_max": 0, **extension})
             part = s.c_n
         rows += [[i, j, c] for j, c in zip(part.sizes.tolist(), part.mults.tolist())]
     if ns.sampler == "feller" and ns.b_max:
@@ -390,8 +394,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--sampler", choices=("feller", "crp", "kn"), required=True)
     sp.add_argument("--m", type=_at_least(1), default=1)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--b-max", type=int, default=0)
-    sp.add_argument("--tail-bound", type=float, default=1e-4)
+    sp.add_argument("--b-max", type=int, help="feller only; default 0, no extension")
+    sp.add_argument("--tail-bound", type=float, help="feller only; default 1e-4")
 
     sp = sub.add_parser("tv", help="exact TV distances vs Poisson laws")
     common(sp, _run_tv)

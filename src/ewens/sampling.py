@@ -4,6 +4,10 @@ Reproducibility model: an `RngState` is (seed, stream) feeding a
 counter-based Philox generator, so draws are bit-for-bit stable across
 platforms and any replicate can be regenerated in isolation via
 `substream(i)` without running the loop up to i.
+
+Cost per draw: `sample_feller` and `sample_kn` read C^n, C^inf and K_n off
+one `_successes` pass, one uniform per position 1..n in one vectorised call
+and one step per success past n for the extension.
 """
 
 from __future__ import annotations
@@ -83,23 +87,20 @@ def sample_feller(
 ) -> FellerSample:
     """Draw (C^n, C^inf) from the Feller coupling.
 
-    The window part simulates xi_i ~ Bernoulli(theta/(theta+i-1)) for
-    i = 1..n (xi_1 = 1) and reads cycle counts off the spacings between
-    successes, with the boundary spacing n+1-t_last closing C^n. The
-    infinite companion continues the sequence past n; instead of stepping
-    position by position, each spacing is drawn exactly in O(1):
-    conditioned on a success at t, P(next spacing > s) = (t)_s/(theta+t)_s
-    = E[(1-W)^s] for W ~ Beta(theta, t), so W ~ Beta(theta, t) followed by
-    Geometric(W) reproduces the spacing law exactly. Jumps continue to a
-    horizon chosen so the expected number of missed spacings of size
-    <= b_max is below tail_bound.
+    C^n is read off the spacings between the successes in 1..n of xi_j ~
+    Bernoulli(theta/(theta+j-1)) (see `_successes`), n+1-t_last closing it.
+    C^inf counts every spacing through the first success past a horizon
+    chosen so the expected number of missed spacings of size <= b_max is
+    below tail_bound. Past n that is one step per success, at most about
+    theta ln(horizon/n) steps and no cap: 1.2e7 at n=1000, theta=5e5, b_max=5.
 
     Args:
         params: (n, theta).
         rng: generator state; one sample consumes one state.
         b_max: largest spacing size kept in c_inf (defaults to n). 0
             disables the extension entirely and leaves c_inf empty.
-        tail_bound: certified bias budget for the extension.
+        tail_bound: certified bias budget for the extension. A horizon
+            n + b_max theta^2/tail_bound of 2^62 or more is a ValueError.
     """
     n, theta = params.n, params.theta
     if b_max is None:
@@ -109,45 +110,45 @@ def sample_feller(
     b_max = int(b_max)
     if not 0.0 < tail_bound <= 1.0:
         raise ValueError(f"tail_bound must be in (0, 1], got {tail_bound!r}")
+    span = b_max * theta * theta / tail_bound
+    if not n + span < 2.0**62:  # positions are int64; inf fails too
+        raise ValueError(f"horizon n + b_max*theta^2/tail_bound = {n + span:.3g} is not below 2^62 "
+                         f"(b_max={b_max}, theta={theta!r}, tail_bound={tail_bound!r})")
+    horizon = n + math.ceil(span)
 
-    gen = rng.generator()
-    u = gen.random(n)
-    xi = u < success_probs(n, theta)
-    xi[0] = True
-    pos = np.flatnonzero(xi) + 1
-    gaps = np.diff(pos)
+    window, later = _successes(rng.generator(), theta, n, horizon + 1 if b_max else n)
+    pos = window.nonzero()[0] + 1  # the successes in 1..n
+    part = Partition.from_blocks(np.diff(np.append(pos, n + 1)))
+    c_inf = np.zeros(0, np.int64)
+    if b_max:
+        gaps = np.diff(np.append(pos, later))
+        c_inf = np.bincount(gaps[gaps <= b_max], minlength=b_max + 1)[1:]
+    return FellerSample(part, c_inf, b_max * theta * theta / (theta + horizon - 1.0))
 
-    boundary = n + 1 - int(pos[-1])  # in 1..n since pos[-1] <= n
-    part = Partition.from_blocks(np.append(gaps, boundary))
-    c_inf = np.bincount(gaps[gaps <= b_max], minlength=b_max + 1)[1:]
 
-    residual = 0.0
-    if b_max > 0:
-        horizon = n + int(math.ceil(b_max * theta * theta / tail_bound))
-        # first extension spacing: survival from n, left endpoint pos[-1]
-        w = gen.beta(theta, n)
-        g = _geometric(gen, w)
-        t = n + g
-        spacing = t - int(pos[-1])
-        if spacing <= b_max:
-            c_inf[spacing - 1] += 1
-        while t <= horizon:
-            w = gen.beta(theta, t)
-            g = _geometric(gen, w)
-            if g <= b_max:
-                c_inf[g - 1] += 1
-            t += g
-        residual = b_max * theta * theta / (theta + horizon - 1.0)
+def _successes(gen: np.random.Generator, theta: float, n: int, reach: int) -> tuple[np.ndarray, list[int]]:
+    """Successes of xi_j ~ Bernoulli(p_j), p_j = theta/(theta+j-1), j >= 1.
 
-    return FellerSample(part, c_inf, residual)
+    Returns the mask xi_1..xi_n, one uniform per position, and the positions
+    of the successes past n through the first at or past `reach`. Each is one
+    Geometric(W) step, W ~ Beta(theta, t), from the last position t, success
+    or not: P(no success in t+1..t+s) = (t)_s/(theta+t)_s = E[(1-W)^s].
+    """
+    window = gen.random(n) < success_probs(n, theta)
+    t = n
+    later = []
+    while t < reach:
+        t += _geometric(gen, gen.beta(theta, t))
+        later.append(t)
+    return window, later
 
 
 def _geometric(gen: np.random.Generator, w: float) -> int:
     """Geometric(w) on {1, 2, ...} by exact inversion of one uniform.
 
     Returns a float-safe huge value as an int only when it fits; callers
-    compare against their horizon before using it, and w = 0 yields an
-    effectively infinite jump.
+    compare against their horizon before using it, and w = 0 or a w so
+    small that the quotient overflows yields an effectively infinite jump.
     """
     u = gen.random()
     if w >= 1.0:
@@ -155,12 +156,10 @@ def _geometric(gen: np.random.Generator, w: float) -> int:
     if u <= 0.0:
         u = 5e-324
     denom = math.log1p(-w)
-    if denom == 0.0:
+    g = math.log(u) / denom if denom else math.inf
+    if g >= float(1 << 62):
         return 1 << 62
-    g = math.floor(math.log(u) / denom) + 1.0
-    if g > float(1 << 62):
-        return 1 << 62
-    return int(g)
+    return int(math.floor(g) + 1.0)
 
 
 def sample_crp(params: EsfParams, rng: RngState) -> Partition:
@@ -189,10 +188,6 @@ def sample_crp(params: EsfParams, rng: RngState) -> Partition:
 
 
 def sample_kn(params: EsfParams, rng: RngState) -> int:
-    """Number of blocks K_n = 1 + sum_{j=2..n} Bernoulli(theta/(theta+j-1))."""
-    n = params.n
-    gen = rng.generator()
-    if n == 1:
-        return 1
-    u = gen.random(n - 1)
-    return 1 + int(np.count_nonzero(u < success_probs(n, params.theta)[1:]))
+    """K_n, the successes in 1..n: c_n.num_blocks of `sample_feller` on the same state."""
+    window, _ = _successes(rng.generator(), params.theta, params.n, params.n)
+    return int(np.count_nonzero(window))

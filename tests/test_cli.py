@@ -286,6 +286,9 @@ class TestExitCodes:
             ("fclt --n 100 --theta 2 --m 999", "--m:"),
             ("fclt --n 100 --theta 2 --m 1000 --ref-m 99", "--ref-m:"),
             ("fclt --n 100 --theta 2 --m 1000 --grid-m 1023", "--grid-m:"),
+            ("sample --sampler kn --n 10 --theta 2 --b-max 5 --seed 1", "--b-max"),
+            ("sample --sampler crp --n 10 --theta 2 --tail-bound 0.1 --seed 1", "--tail-bound"),
+            ("sample --sampler feller --n 10 --theta 1e200 --b-max 1", "tail_bound="),
         ):
             code, out, err = run_cli(argv.split(), capsys)
             assert code == 1, argv

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from ewens.bruteforce import enumerate_esf
-from ewens.laws import EsfParams, kn_pmf
+from ewens.laws import EsfParams, Partition, kn_pmf, success_probs
 from ewens.sampling import (
     DEFAULT_SEED,
+    FellerSample,
     RngState,
     _geometric,
     sample_crp,
@@ -21,6 +22,34 @@ from ewens.sampling import (
     sample_kn,
     seed_from_env,
 )
+
+
+def _loop_feller(params, rng, b_max=None, tail_bound=1e-4):
+    """Reference Feller draw: the window 1..n, then one Beta-Geometric
+    spacing at a time past n, the first one measured from the last success."""
+    n, theta = params.n, params.theta
+    b_max = n if b_max is None else b_max
+    gen = rng.generator()
+    xi = gen.random(n) < success_probs(n, theta)
+    xi[0] = True
+    pos = np.flatnonzero(xi) + 1
+    gaps = np.diff(pos)
+    part = Partition.from_blocks(np.append(gaps, n + 1 - int(pos[-1])))
+    c_inf = np.bincount(gaps[gaps <= b_max], minlength=b_max + 1)[1:]
+    residual = 0.0
+    if b_max > 0:
+        horizon = n + int(math.ceil(b_max * theta * theta / tail_bound))
+        t = n + _geometric(gen, gen.beta(theta, n))
+        spacing = t - int(pos[-1])
+        if spacing <= b_max:
+            c_inf[spacing - 1] += 1
+        while t <= horizon:
+            g = _geometric(gen, gen.beta(theta, t))
+            if g <= b_max:
+                c_inf[g - 1] += 1
+            t += g
+        residual = b_max * theta * theta / (theta + horizon - 1.0)
+    return FellerSample(part, c_inf, residual)
 
 
 class TestRngState:
@@ -71,6 +100,11 @@ class TestGeometric:
     def test_certain_success_gives_one(self):
         gen = RngState(1).generator()
         assert all(_geometric(gen, 1.0) == 1 for _ in range(10))
+
+    def test_subnormal_w_gives_the_capped_jump(self):
+        # log(u) / log1p(-w) overflows to inf here
+        gen = RngState(1).generator()
+        assert _geometric(gen, 5e-324) == 1 << 62
 
     def test_law_matches_geometric(self):
         gen = RngState(42).generator()
@@ -139,6 +173,31 @@ class TestFellerSampler:
             se = math.sqrt(3.0 / j / m)
             assert abs(mean - 3.0 / j) < 5 * se + 1e-4
 
+    @pytest.mark.parametrize(
+        "n,theta,b_max",
+        [(1000, 5e5, 0), (1000, 2.0, 5), (300, 1.5, 0), (50, 1.5, 5), (100, 3.0, 100), (500, 0.5, 3), (1, 0.3, 1)],
+    )
+    def test_bit_identical_to_the_loop_reference(self, n, theta, b_max):
+        params = EsfParams(n, theta)
+        root = RngState(7)
+        for i in range(40):
+            got = sample_feller(params, root.substream(i), b_max=b_max)
+            want = _loop_feller(params, root.substream(i), b_max=b_max)
+            assert got.c_n == want.c_n
+            assert np.array_equal(got.c_inf, want.c_inf)
+            assert got.residual == want.residual
+
+    def test_tiny_theta_extension_survives_a_subnormal_beta(self):
+        # the first step on this state draws w ~ 1e-321 from Beta(0.01, 6)
+        s = sample_feller(EsfParams(6, 0.01), RngState(1).substream(2737), b_max=6)
+        assert s.c_inf.size == 6 and s.c_n.n == 6
+
+    def test_horizon_past_int64_is_refused(self):
+        with pytest.raises(ValueError, match="b_max=1, theta=1e[+]200, tail_bound=0.0001"):
+            sample_feller(EsfParams(10, 1e200), RngState(1), b_max=1)
+        with pytest.raises(ValueError, match="2\\^62"):
+            sample_feller(EsfParams(10, 1e9), RngState(1), b_max=10, tail_bound=1e-3)
+
 
 class TestCrpSampler:
     def test_deterministic_under_seed(self):
@@ -188,6 +247,14 @@ class TestKnSampler:
             counts[sample_kn(params, root.substream(i))] += 1
         tv = 0.5 * float(np.abs(counts[1:] / m - pmf.probs).sum())
         assert tv < 0.02
+
+    @pytest.mark.parametrize("n,theta,b_max", [(1000, 5e5, 0), (1000, 2.0, 0), (500, 0.5, 5), (1, 1.0, 1)])
+    def test_counts_the_blocks_of_the_feller_draw_on_its_state(self, n, theta, b_max):
+        params = EsfParams(n, theta)
+        root = RngState(23)
+        for i in range(40):
+            k = sample_kn(params, root.substream(i))
+            assert k == sample_feller(params, root.substream(i), b_max=b_max).c_n.num_blocks
 
     def test_mean_matches_exact_within_se(self):
         params = EsfParams(500, 5.0)

@@ -86,3 +86,30 @@ def db_bruteforce(params: EsfParams, b: int) -> float:
         diffs.append(abs(pc - pz))
         z_on_support.append(pz)
     return 0.5 * (math.fsum(diffs) + 1.0 - math.fsum(z_on_support))
+
+
+def tilted_conditioning_check(params: EsfParams, x: float) -> float:
+    """Max abs deviation between the ESF law and the x-tilted conditional law.
+
+    Conditioning independent Poissons with means (theta/j) x^j on
+    sum_j j Z_j = n must reproduce the ESF for every tilt x > 0. Enumerates
+    all partitions, so n is capped at 10.
+    """
+    n, theta = params.n, params.theta
+    if n > 10:
+        raise ValueError(f"enumeration check capped at n <= 10, got {n}")
+    if not math.isfinite(x) or x <= 0.0:
+        raise ValueError(f"x must be positive and finite, got {x!r}")
+    lx = math.log(x)
+    lt = math.log(theta)
+    log_weights = []
+    esf = []
+    for counts in partitions_of(n):
+        log_weights.append(math.fsum(
+            cj * (lt - math.log(j) + j * lx) - math.lgamma(cj + 1)
+            for j, cj in enumerate(counts, start=1)
+        ))
+        esf.append(esf_pmf(params, Partition(counts)))
+    top = max(log_weights)
+    total = math.fsum(math.exp(lw - top) for lw in log_weights)
+    return max(abs(math.exp(lw - top) / total - p) for lw, p in zip(log_weights, esf))

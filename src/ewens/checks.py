@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import digamma, ndtr
 
-from . import bruteforce, distances, laws, paths, regimes, sampling, special
+from . import bruteforce, distances, laws, paths, regimes, sampling
 from .laws import EsfParams
+from .special import kolmogorov_cdf
 
 _PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
 
@@ -55,7 +57,7 @@ def _check_kn_methods() -> str:
             mean, var = laws.kn_mean_var(p)
             # E[K_n] = theta*(psi(n+theta) - psi(theta)); the difference of
             # digammas is only good to a few ulps of its larger term
-            psi_n, psi_0 = special.digamma(n + theta), special.digamma(theta)
+            psi_n, psi_0 = digamma(n + theta), digamma(theta)
             slack = 1e-15 * theta * (abs(psi_0) + abs(psi_n)) + 1e-12 * mean
             if abs(mean - theta * (psi_n - psi_0)) > slack:
                 raise AssertionError(f"digamma identity mismatch at n={n}, theta={theta}")
@@ -89,7 +91,7 @@ def _check_conditioned() -> str:
 def _check_tilting() -> str:
     worst = 0.0
     for x in (0.5, 2.0):
-        worst = max(worst, laws.tilted_conditioning_check(EsfParams(8, 1.3), x))
+        worst = max(worst, bruteforce.tilted_conditioning_check(EsfParams(8, 1.3), x))
     if worst > 1e-10:
         raise AssertionError(f"tilting deviation {worst:.2e}")
     return f"max tilting deviation = {worst:.2e}"
@@ -170,7 +172,7 @@ def _check_sampler_laws() -> str:
     counts_f: dict[tuple, int] = {}
     counts_c: dict[tuple, int] = {}
     for i in range(m):
-        f = sampling.sample_feller(p, rng_f.substream(i), b_max=0).c_n.as_tuple()
+        f = sampling.sample_feller(p, rng_f.substream(i)).c_n.as_tuple()
         c = sampling.sample_crp(p, rng_c.substream(i)).as_tuple()
         counts_f[f] = counts_f.get(f, 0) + 1
         counts_c[c] = counts_c.get(c, 0) + 1
@@ -314,7 +316,7 @@ def _check_fclt_exact() -> str:
         raise AssertionError(f"closed-form L2 off by {worst:.2e}")
     rng = sampling.RngState(21)
     for i in range(50):
-        s = sampling.sample_feller(EsfParams(100, 1.0), rng.substream(i), b_max=0)
+        s = sampling.sample_feller(EsfParams(100, 1.0), rng.substream(i))
         p = paths.build_path(s.c_n)
         if paths.process_value(p, 1.0, "X4", 1.0) != 0.0:
             raise AssertionError("X4(1) != 0 on a sampled partition")
@@ -322,8 +324,6 @@ def _check_fclt_exact() -> str:
 
 
 def _check_reference_bridge() -> str:
-    from .special import kolmogorov_cdf
-
     ref = paths.reference_functionals(
         "X4", "sup", 0.01, 2**12, 10**4, sampling.RngState(5)
     )
@@ -334,12 +334,10 @@ def _check_reference_bridge() -> str:
 
 
 def _check_zn_normal_mini() -> str:
-    from .special import normal_cdf
-
     z = regimes.zn_mc_distribution(
         regimes.GrowthRule(1.0, 0.5), 10**4, 4000, sampling.RngState(31)
     )
-    ks = paths.ks_distance(z, normal_cdf)
+    ks = paths.ks_distance(z, ndtr)
     if ks > 0.06:
         raise AssertionError(f"Case A mini KS {ks:.4f} > 0.06")
     return f"Case A mini (n=1e4): KS = {ks:.4f}"

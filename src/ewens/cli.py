@@ -21,12 +21,13 @@ import tempfile
 from dataclasses import asdict
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import bruteforce, distances, laws, paths, regimes, sampling
 from .checks import run_checks
 from .laws import EsfParams
 from .sampling import RngState
-from .special import kolmogorov_cdf, normal_cdf
+from .special import kolmogorov_cdf
 
 
 class _UsageError(Exception):
@@ -116,22 +117,18 @@ def _seed(ns: argparse.Namespace) -> int:
 
 def _run_pmf(ns: argparse.Namespace) -> int:
     p = EsfParams(ns.n, ns.theta)
-    dist = ns.dist
-    if dist == "kn":
-        law = laws.kn_pmf(p, ns.method)
-        rows = [[k, float(law.prob(k))] for k in law.support()]
-        _table(ns, ["k", "prob"], rows, {"dist": dist, "n": p.n, "theta": p.theta})
-    elif dist == "singleton":
-        law = laws.singleton_pmf(p)
-        rows = [[k, float(law.prob(k))] for k in law.support()]
-        _table(ns, ["k", "prob"], rows, {"dist": dist, "n": p.n, "theta": p.theta})
-    else:
-        table = bruteforce.enumerate_esf(p)
+    if ns.method is not None and ns.dist != "kn":
+        raise ValueError("--method applies to --dist kn only")
+    meta = {"dist": ns.dist, "n": p.n, "theta": p.theta}
+    if ns.dist == "esf":
         rows = [
             [" ".join(str(int(c)) for c in part.counts), float(pr)]
-            for part, pr in table.entries
+            for part, pr in bruteforce.enumerate_esf(p).entries
         ]
-        _table(ns, ["counts", "prob"], rows, {"dist": dist, "n": p.n, "theta": p.theta})
+        _table(ns, ["counts", "prob"], rows, meta)
+        return 0
+    law = laws.kn_pmf(p, ns.method) if ns.dist == "kn" else laws.singleton_pmf(p)
+    _table(ns, ["k", "prob"], [[k, float(law.prob(k))] for k in law.support()], meta)
     return 0
 
 
@@ -168,7 +165,7 @@ def _run_sample(ns: argparse.Namespace) -> int:
         if ns.sampler == "crp":
             part = sampling.sample_crp(p, rng.substream(i))
         else:
-            s = sampling.sample_feller(p, rng.substream(i), **{"b_max": 0, **extension})
+            s = sampling.sample_feller(p, rng.substream(i), **extension)
             part = s.c_n
         rows += [[i, j, c] for j, c in zip(part.sizes.tolist(), part.mults.tolist())]
     if ns.sampler == "feller" and ns.b_max:
@@ -294,7 +291,7 @@ def _run_regime(ns: argparse.Namespace) -> int:
             z = regimes.zn_mc_distribution(rule, ns.n, ns.mc, RngState(seed))
             mc: dict = {"m": ns.mc, "seed": seed}
             if case.label in ("A", "B", "C1"):
-                mc["ks_normal"] = paths.ks_distance(z, normal_cdf)
+                mc["ks_normal"] = paths.ks_distance(z, ndtr)
             elif case.label == "C2":
                 mc["lattice_tv"] = regimes.standardized_lattice_tv(z, case.c)
             else:
@@ -383,7 +380,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("pmf", help="exact distribution tables")
     common(sp, _run_pmf)
     sp.add_argument("--dist", choices=("esf", "kn", "singleton"), required=True)
-    sp.add_argument("--method", choices=("stirling", "bernoulli_convolution"))
+    sp.add_argument("--method", choices=("stirling", "bernoulli_convolution"), help="kn only")
 
     sp = sub.add_parser("moments", help="means, variances, standardization")
     common(sp, _run_moments)

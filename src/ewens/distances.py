@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import digamma, logsumexp
 
 from .laws import (
     EsfParams,
@@ -23,9 +23,10 @@ from .laws import (
     kn_mean_var,
     kn_pmf,
     success_probs,
+    tlm_pmf,
 )
 from .sampling import RngState, sample_feller
-from .special import digamma, harmonic_number, log_rising_factorial
+from .special import harmonic_number, log_rising_factorial
 
 
 def _tol(value: float) -> float:
@@ -172,7 +173,7 @@ def prelim_sums(params: EsfParams) -> tuple[PrelimSums, list[BoundReport]]:
         ),
         make_report(
             "case_a_centering_gap",
-            sums.sum_p - theta * (math.log(n) - digamma(theta)),
+            sums.sum_p - theta * (math.log(n) - float(digamma(theta))),
             detail="sum p_j - theta*(log n - psi(theta)); O(theta^2/n) in Case A",
         ),
     ]
@@ -236,7 +237,7 @@ def kn_poisson_tv(params: EsfParams, center: str = "exact_mean") -> PoissonTv:
     elif center == "mu_a":
         if n <= theta:
             raise ValueError(f"mu_a centering needs n > theta, got n={n} theta={theta}")
-        lam = theta * (math.log(n) - digamma(theta))
+        lam = theta * (math.log(n) - float(digamma(theta)))
         upper = base + yannaros_bound(lam_exact, lam)
     else:
         raise ValueError(f"unknown center {center!r}")
@@ -267,21 +268,18 @@ def db_exact(params: EsfParams, b: int) -> DbExact:
     d_b(n) = sum_{a>=0} P(T_{0b} = a) (1 - P(T_{bn} = n-a)/P(T_{0n} = n))^+,
     whose ratio is Q_bn(n-a) e^{theta H_b} / Q_0n(n) (see `_tlm_log`).
     Terms with a > n have the ratio identically zero, so they sum to
-    P(T_{0b} > n) exactly; that mass is folded in via the complement, which
+    P(T_{0b} > n) exactly, the tail mass of `tlm_pmf`'s window 0..n, which
     makes the truncation slack zero up to float rounding.
     """
     n, theta = params.n, params.theta
     if b != int(b) or not 1 <= b < n:
         raise ValueError(f"b must be in 1..{n - 1}, got {b!r}")
     b = int(b)
-    hb = theta * harmonic_number(b)
-    lp0b = _tlm_log(theta, 0, b, n) - hb
+    t0b = tlm_pmf(theta, 0, b, n)
     with np.errstate(over="ignore"):
-        ratio = np.exp(_tlm_log(theta, b, n, n)[::-1] + hb - _tlm_log(theta, 0, n, n)[n])
+        ratio = np.exp(_tlm_log(theta, b, n, n)[::-1] + theta * harmonic_number(b) - _tlm_log(theta, 0, n, n)[n])
     deficit = np.clip(1.0 - ratio, 0.0, None)
-    head = float(np.exp(lp0b) @ deficit)
-    tail = max(0.0, -math.expm1(float(logsumexp(lp0b))))
-    return DbExact(head + tail, 0.0)
+    return DbExact(float(t0b.probs @ deficit) + t0b.tail_mass, 0.0)
 
 
 def _ld_rate(theta: float, w: float) -> float:
@@ -317,9 +315,8 @@ def e_abs_t0b(theta: float, b: int) -> float:
         return 0.0
     m_cut = _ld_quantile(theta, b, math.log(1e-16))
     m_cut = max(m_cut, int(math.ceil(theta * b + 10.0 * math.sqrt(theta * b) + 20.0)))
-    lp = _tlm_log(theta, 0, b, m_cut) - theta * harmonic_number(b)
-    a = np.arange(m_cut + 1, dtype=np.float64)
-    return float(np.exp(lp) @ np.abs(a - theta * b))
+    law = tlm_pmf(theta, 0, b, m_cut)
+    return float(law.probs @ np.abs(law.support() - theta * b))
 
 
 def db_leading_term(params: EsfParams, b: int) -> float:

@@ -455,31 +455,3 @@ def conditioned_joint_prob(params: EsfParams, b: int, a_b: Sequence[int]) -> flo
     )
     log_rest = _tlm_log(theta, b, n, n - a)[n - a] - _tlm_log(theta, 0, n, n)[n]
     return math.exp(log_z + log_rest)
-
-
-def tilted_conditioning_check(params: EsfParams, x: float) -> float:
-    """Max abs deviation between the ESF law and the x-tilted conditional law.
-
-    Conditioning independent Poissons with means (theta/j) x^j on
-    sum_j j Z_j = n must reproduce the ESF for every tilt x > 0. Enumerates
-    all partitions, so n is capped at 10.
-    """
-    n, theta = params.n, params.theta
-    if n > 10:
-        raise ValueError(f"enumeration check capped at n <= 10, got {n}")
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"x must be positive and finite, got {x!r}")
-    lx = math.log(x)
-    lt = math.log(theta)
-    log_weights = []
-    esf = []
-    for counts in partitions_of(n):
-        lw = 0.0
-        for j, cj in enumerate(counts, start=1):
-            lam_log = lt - math.log(j) + j * lx
-            lw += cj * lam_log - math.lgamma(cj + 1)
-        log_weights.append(lw)
-        esf.append(esf_pmf(params, Partition(counts)))
-    log_weights = np.array(log_weights)
-    cond = np.exp(log_weights - logsumexp(log_weights))
-    return float(np.max(np.abs(cond - np.array(esf))))

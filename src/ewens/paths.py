@@ -266,7 +266,7 @@ def mc_functionals(
         raise ValueError(f"stat_kind must be sup or l2, got {stat_kind!r}")
     values = np.empty(replicates, dtype=np.float64)
     for i in range(replicates):
-        s = sample_feller(params, rng.substream(i), b_max=0)
+        s = sample_feller(params, rng.substream(i))
         path = build_path(s.c_n)
         values[i] = functional_stat(path, params.theta, which, eps)[idx]
     meta = {

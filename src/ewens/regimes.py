@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .laws import EsfParams, Pmf, poisson_logpmf
 from .sampling import RngState, sample_kn
-from .special import harmonic_number, log_rising_factorial, normal_cdf
+from .special import log_rising_factorial
 
 MIN_REPLICATES = 10**3  # zn_mc_distribution
 
@@ -122,7 +123,7 @@ class LawDescriptor:
 
     def cdf(self, x: float) -> float:
         if self.kind == "normal":
-            return normal_cdf(x)
+            return ndtr(x)
         total = 0.0
         for a, w in zip(self.atoms, self.weights):
             if a <= x:
@@ -150,21 +151,6 @@ def singleton_full_prob(params: EsfParams) -> float:
     """P(C_1^n = n) = theta^n / (theta)_n, evaluated in log space."""
     n, theta = params.n, params.theta
     return math.exp(n * math.log(theta) - log_rising_factorial(theta, n))
-
-
-def sca_display_sum(params: EsfParams, k: int, r: int) -> float:
-    """Poisson tail sum sum_{x<k} e^(-delta_r) delta_r^x / x! with
-    delta_r = theta * H_r; approximates P(S_n^k > r) for the k-th shortest
-    cycle size S_n^k."""
-    if k < 1 or r < 1 or r > params.n:
-        raise ValueError(f"need k >= 1 and 1 <= r <= n, got k={k} r={r}")
-    delta = params.theta * harmonic_number(r)
-    return float(math.fsum(math.exp(poisson_logpmf(x, delta)) for x in range(k)))
-
-
-def shortest_cycle_cdf(params: EsfParams, k: int, r: int) -> float:
-    """Approximation to P(S_n^k <= r) = P(C_1 + ... + C_r >= k)."""
-    return 1.0 - sca_display_sum(params, k, r)
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ class FellerSample:
 def sample_feller(
     params: EsfParams,
     rng: RngState,
-    b_max: int | None = None,
+    b_max: int = 0,
     tail_bound: float = 1e-4,
 ) -> FellerSample:
     """Draw (C^n, C^inf) from the Feller coupling.
@@ -97,14 +97,12 @@ def sample_feller(
     Args:
         params: (n, theta).
         rng: generator state; one sample consumes one state.
-        b_max: largest spacing size kept in c_inf (defaults to n). 0
-            disables the extension entirely and leaves c_inf empty.
+        b_max: largest spacing size kept in c_inf, at most n. The default
+            0 disables the extension entirely and leaves c_inf empty.
         tail_bound: certified bias budget for the extension. A horizon
             n + b_max theta^2/tail_bound of 2^62 or more is a ValueError.
     """
     n, theta = params.n, params.theta
-    if b_max is None:
-        b_max = n
     if b_max != int(b_max) or not 0 <= b_max <= n:
         raise ValueError(f"b_max must be in 0..{n}, got {b_max!r}")
     b_max = int(b_max)

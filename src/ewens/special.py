@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-EULER_GAMMA = 0.5772156649015328606065121
-
 # Largest n for which unsigned Stirling numbers of the first kind are tabled.
 # Rows are big integers; 500 rows cost a few MB and cover every exact-pmf use.
 STIRLING_CAP = 500
@@ -39,45 +37,6 @@ def log_rising_factorial(theta: float, n: int) -> float:
     return math.lgamma(theta + n) - math.lgamma(theta)
 
 
-_DIGAMMA_SHIFT = 10.0
-
-
-def digamma(x: float) -> float:
-    """Digamma function psi(x) for x > 0.
-
-    Uses the recurrence psi(x) = psi(x+1) - 1/x to push the argument above 10,
-    then the asymptotic series with Bernoulli-number coefficients through
-    1/x^14; the first omitted term at x = 10 is below 4e-17.
-    """
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"x must be positive and finite, got {x!r}")
-    acc = 0.0
-    while x < _DIGAMMA_SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    # ln x - 1/(2x) - 1/(12x^2) + 1/(120x^4) - 1/(252x^6) + 1/(240x^8)
-    #      - 1/(132x^10) + 691/(32760x^12) - 1/(12x^14)
-    series = inv2 * (
-        1.0 / 12.0
-        - inv2 * (
-            1.0 / 120.0
-            - inv2 * (
-                1.0 / 252.0
-                - inv2 * (
-                    1.0 / 240.0
-                    - inv2 * (
-                        1.0 / 132.0
-                        - inv2 * (691.0 / 32760.0 - inv2 / 12.0)
-                    )
-                )
-            )
-        )
-    )
-    return acc + math.log(x) - 0.5 * inv - series
-
-
 _stirling_rows: list[list[int]] = [[1]]
 
 
@@ -101,17 +60,6 @@ def stirling_first_row(n: int) -> list[int]:
             row[k] = prev[k - 1] + m * above
         _stirling_rows.append(row)
     return _stirling_rows[n]
-
-
-def stirling_first(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind s(n, k), exact."""
-    row = stirling_first_row(n)
-    if k != int(k) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    k = int(k)
-    if k > n:
-        return 0
-    return row[k]
 
 
 def log_bignat(value: int) -> float:
@@ -144,11 +92,6 @@ def kolmogorov_cdf(x: float) -> float:
             break
         k += 1
     return min(1.0, max(0.0, 1.0 - 2.0 * total))
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erf."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def harmonic_number(n: int) -> float:

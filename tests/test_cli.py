@@ -289,6 +289,8 @@ class TestExitCodes:
             ("sample --sampler kn --n 10 --theta 2 --b-max 5 --seed 1", "--b-max"),
             ("sample --sampler crp --n 10 --theta 2 --tail-bound 0.1 --seed 1", "--tail-bound"),
             ("sample --sampler feller --n 10 --theta 1e200 --b-max 1", "tail_bound="),
+            ("pmf --n 5 --theta 2 --dist esf --method stirling", "--method"),
+            ("pmf --n 5 --theta 2 --dist singleton --method bernoulli_convolution", "--method"),
         ):
             code, out, err = run_cli(argv.split(), capsys)
             assert code == 1, argv

@@ -17,6 +17,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ewens.bruteforce import tilted_conditioning_check
 from ewens.laws import (
     _tlm_log,
     EsfParams,
@@ -32,7 +33,6 @@ from ewens.laws import (
     singleton_pmf,
     t0n_closed,
     t0n_log,
-    tilted_conditioning_check,
     tlm_pmf,
 )
 

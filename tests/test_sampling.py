@@ -24,11 +24,10 @@ from ewens.sampling import (
 )
 
 
-def _loop_feller(params, rng, b_max=None, tail_bound=1e-4):
+def _loop_feller(params, rng, b_max=0, tail_bound=1e-4):
     """Reference Feller draw: the window 1..n, then one Beta-Geometric
     spacing at a time past n, the first one measured from the last success."""
     n, theta = params.n, params.theta
-    b_max = n if b_max is None else b_max
     gen = rng.generator()
     xi = gen.random(n) < success_probs(n, theta)
     xi[0] = True
@@ -134,6 +133,13 @@ class TestFellerSampler:
     def test_extension_disabled_with_bmax_zero(self):
         s = sample_feller(EsfParams(50, 1.0), RngState(3), b_max=0)
         assert s.residual == 0.0
+
+    def test_default_call_has_no_extension(self):
+        params = EsfParams(1000, 2.0)
+        for i in range(20):
+            s = sample_feller(params, RngState(5).substream(i))
+            assert s.c_inf.size == 0 and s.residual == 0.0
+            assert s.c_n == sample_feller(params, RngState(5).substream(i), b_max=0).c_n
 
     def test_residual_bound_formula(self):
         # residual = b_max * theta^2 / (theta + horizon - 1) <= tail_bound

@@ -235,7 +235,6 @@ class FunctionalSample:
     which: str
     stat_kind: str
     values: np.ndarray
-    meta: dict
 
     def __post_init__(self) -> None:
         if self.which not in _PROCESSES:
@@ -269,14 +268,7 @@ def mc_functionals(
         s = sample_feller(params, rng.substream(i))
         path = build_path(s.c_n)
         values[i] = functional_stat(path, params.theta, which, eps)[idx]
-    meta = {
-        "n": params.n,
-        "theta": params.theta,
-        "eps": eps,
-        "seed": rng.seed,
-        "stream": rng.stream,
-    }
-    return FunctionalSample(which, stat_kind, values, meta)
+    return FunctionalSample(which, stat_kind, values)
 
 
 def reference_functionals(
@@ -337,13 +329,7 @@ def reference_functionals(
         else:
             values[done : done + m] = np.trapezoid(v * v / w2_sub, t_sub, axis=1)
         done += m
-    meta = {
-        "grid_m": grid_m,
-        "eps": eps,
-        "seed": rng.seed,
-        "stream": rng.stream,
-    }
-    return FunctionalSample(which, stat_kind, values, meta)
+    return FunctionalSample(which, stat_kind, values)
 
 
 def ks_distance(sample, reference) -> float:

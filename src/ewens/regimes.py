@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .laws import EsfParams, Pmf, poisson_logpmf
+from .laws import EsfParams, Pmf
 from .sampling import RngState, sample_kn
 from .special import log_rising_factorial
 
@@ -207,8 +207,8 @@ def standardized_lattice_tv(z_values: np.ndarray, c: float) -> float:
     m = z_values.size
     invalid = float(np.count_nonzero(~on_lattice)) / m
     ks = k_hat[on_lattice].astype(np.int64)
-    kmax = int(ks.max(initial=0))
+    law = Pmf.poisson(lam)
+    kmax = max(int(ks.max(initial=0)), law.probs.size - 1)
     emp = np.bincount(ks, minlength=kmax + 1) / m
-    pois = np.exp([poisson_logpmf(k, lam) for k in range(kmax + 1)])
-    tail = max(0.0, 1.0 - float(pois.sum()))
-    return 0.5 * (float(np.abs(emp - pois).sum()) + tail + invalid)
+    pois = np.pad(law.probs, (0, kmax + 1 - law.probs.size))
+    return 0.5 * (float(np.abs(emp - pois).sum()) + law.tail_mass + invalid)

@@ -2,18 +2,21 @@
 
 Reference values are derived independently of the implementation: partition
 probabilities from the defining product formula with exact rationals, the
-block-count law from both the Stirling and the Bernoulli-convolution routes,
-the weighted-sum law from direct convolution of Poisson atoms and from a
-log-space dynamic program, and the singleton law from its alternating
-series in exact rationals.
+block-count law from both the Stirling and the Bernoulli-convolution routes
+and from the exact Stirling integers in 60-digit mpmath, the weighted-sum
+law from direct convolution of Poisson atoms and from a log-space dynamic
+program, and the singleton law from its alternating series in exact
+rationals.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,12 +32,12 @@ from ewens.laws import (
     kn_mean_var,
     kn_pmf,
     partitions_of,
-    poisson_logpmf,
     singleton_pmf,
     t0n_closed,
     t0n_log,
     tlm_pmf,
 )
+from ewens.special import stirling_first_row
 
 
 def esf_fraction(n, theta, counts):
@@ -163,6 +166,38 @@ class TestKnPmf:
     def test_default_route_beyond_stirling_cap(self):
         pmf = kn_pmf(EsfParams(1000, 2.0))
         assert math.isclose(pmf.mean(), kn_mean_var(EsfParams(1000, 2.0))[0], rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, theta", [(120, 1e8), (200, 1e9), (300, 2.0), (500, 1e-9), (500, 1e4)]
+    )
+    def test_convolution_matches_mpmath_oracle(self, n, theta):
+        # truth s(n,k) theta^k / (theta)_n from the exact Stirling integers at
+        # 60 digits; every entry >= 1e-300 holds to 1e-12 relative
+        got = kn_pmf(EsfParams(n, theta), method="bernoulli_convolution")
+        assert got.offset == 1 and got.probs.size == n and got.tail_mass == 0.0
+        row = stirling_first_row(n)
+        with mpmath.workdps(60):
+            th = mpmath.mpf(theta)
+            rising = mpmath.rf(th, n)
+            for k in range(1, n + 1):
+                truth = row[k] * th**k / rising
+                g = got.probs[k - 1]
+                if truth >= 1e-300:
+                    assert abs(g - truth) <= 1e-12 * truth, (k, g, float(truth))
+                else:
+                    assert g <= 1e-300, (k, g, float(truth))
+
+    def test_convolution_at_n_1e5(self):
+        params = EsfParams(10**5, 2.0)
+        pmf = kn_pmf(params)
+        assert pmf.offset == 1 and pmf.probs.size == params.n and pmf.tail_mass == 0.0
+        ks = pmf.support().astype(float)
+        mean = math.fsum(ks * pmf.probs)
+        var = math.fsum((ks - mean) ** 2 * pmf.probs)
+        want_mean, want_var = kn_mean_var(params)
+        assert abs(math.fsum(pmf.probs) - 1.0) <= 1e-12
+        assert math.isclose(mean, want_mean, rel_tol=1e-12)
+        assert math.isclose(var, want_var, rel_tol=1e-12)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(n=st.integers(1, 500), theta=st.floats(-9.0, 9.0).map(lambda e: 10.0**e))
@@ -310,7 +345,7 @@ def poisson_weighted_sum_law(theta, l, m, max_value):
     for j in range(l + 1, m + 1):
         lam = theta / j
         kmax = max_value // j
-        atom = np.exp(poisson_logpmf(np.arange(kmax + 1), lam))
+        atom = np.exp(scipy.stats.poisson.logpmf(np.arange(kmax + 1), lam))
         nxt = np.zeros_like(probs)
         for k in range(kmax + 1):
             shifted = probs[: max_value + 1 - j * k]
@@ -333,7 +368,7 @@ def tlm_log_dp(theta, l, m, max_value):
         if kmax == 0:
             lp += -lam
             continue
-        w = poisson_logpmf(np.arange(kmax + 1), lam)
+        w = scipy.stats.poisson.logpmf(np.arange(kmax + 1), lam)
         new = lp + w[0]
         for k in range(1, kmax + 1):
             shift = k * j

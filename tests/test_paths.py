@@ -407,11 +407,11 @@ class TestProcessIdentities:
 class TestFunctionalSampleContainer:
     def test_finite_values_required(self):
         with pytest.raises(ValueError):
-            FunctionalSample("X1", "sup", np.array([1.0, np.inf]), {})
+            FunctionalSample("X1", "sup", np.array([1.0, np.inf]))
         with pytest.raises(ValueError):
-            FunctionalSample("X9", "sup", np.array([1.0]), {})
+            FunctionalSample("X9", "sup", np.array([1.0]))
         with pytest.raises(ValueError):
-            FunctionalSample("X1", "median", np.array([1.0]), {})
+            FunctionalSample("X1", "median", np.array([1.0]))
 
 
 class TestMcFunctionals:
@@ -426,8 +426,6 @@ class TestMcFunctionals:
     def test_meta_records_configuration(self):
         params = EsfParams(500, 1.0)
         s = mc_functionals(params, "X1", "l2", 0.02, 1000, RngState(5))
-        assert s.meta["n"] == 500
-        assert s.meta["eps"] == 0.02
         assert s.which == "X1" and s.stat_kind == "l2"
 
     def test_replicate_floor(self):
@@ -477,7 +475,7 @@ class TestKsDistance:
         assert math.isclose(ks_distance(a, b), 1.0, rel_tol=1e-14)
 
     def test_accepts_functional_samples(self):
-        s = FunctionalSample("X1", "sup", np.abs(np.linspace(0.1, 2.0, 300)), {})
+        s = FunctionalSample("X1", "sup", np.abs(np.linspace(0.1, 2.0, 300)))
         d = ks_distance(s, ndtr)
         assert 0.0 <= d <= 1.0
 

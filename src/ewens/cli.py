@@ -262,6 +262,8 @@ def _run_leading_term(ns: argparse.Namespace) -> int:
 
 
 def _run_regime(ns: argparse.Namespace) -> int:
+    if ns.mc and ns.n is None:
+        raise ValueError("--mc needs --n")
     rule = regimes.GrowthRule(ns.coeff, ns.exponent)
     case = regimes.classify(rule)
     law = regimes.limit_law(case)
@@ -354,6 +356,17 @@ def _at_least(lo: int, zero_ok: bool = False):
     return parse
 
 
+def _seed_arg(text: str) -> int:
+    """argparse type: a seed in 0..2^64-1, which the generator uses unwrapped."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in 0..{2**64 - 1}, got {value}")
+    return value
+
+
+_seed_arg.__name__ = "int"  # a non-integer reads "invalid int value: 'x'"
+
+
 def _n_grid(text: str) -> list[int]:
     """argparse type: a comma-separated list of sample sizes."""
     try:
@@ -390,7 +403,7 @@ def _build_parser() -> _Parser:
     common(sp, _run_sample)
     sp.add_argument("--sampler", choices=("feller", "crp", "kn"), required=True)
     sp.add_argument("--m", type=_at_least(1), default=1)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_seed_arg)
     sp.add_argument("--b-max", type=int, help="feller only; default 0, no extension")
     sp.add_argument("--tail-bound", type=float, help="feller only; default 1e-4")
 
@@ -416,7 +429,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--exponent", type=float, required=True)
     sp.add_argument("--n", type=int)
     sp.add_argument("--mc", type=_at_least(regimes.MIN_REPLICATES, zero_ok=True), default=0)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_seed_arg)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("fclt", help="path functional Monte Carlo vs references")
@@ -428,7 +441,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--grid-m", type=_at_least(paths.MIN_GRID_M), default=2**12)
     sp.add_argument("--ref-m", type=_at_least(paths.MIN_REF_REPLICATES), default=10**4)
     sp.add_argument("--ks-tol", type=float, default=0.05)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_seed_arg)
 
     sp = sub.add_parser("check", help="run the invariant self-checks")
     sp.set_defaults(run=_run_check)

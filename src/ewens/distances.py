@@ -439,7 +439,8 @@ def dbw_mc(params: EsfParams, b: int, replicates: int, rng: RngState) -> McEstim
     """Feller-coupling estimate of sum_{j<=b} E|C_j^n - Z_j|.
 
     An upper-bound estimator for the prefix Wasserstein distance; the
-    per-sample extension residual gives the certified bias bound.
+    per-sample extension residual gives the certified bias bound. Replicate
+    i draws from substream i (through `RngState.generators`).
     """
     n = params.n
     if b != int(b) or not 1 <= b <= n:
@@ -450,8 +451,8 @@ def dbw_mc(params: EsfParams, b: int, replicates: int, rng: RngState) -> McEstim
     total = 0
     total_sq = 0
     residual = 0.0
-    for i in range(replicates):
-        s = sample_feller(params, rng.substream(i), b_max=b)
+    for gen in rng.generators(replicates):
+        s = sample_feller(params, gen, b_max=b)
         x = int(np.abs(s.c_n.prefix(b) - s.c_inf).sum())
         total += x
         total_sq += x * x

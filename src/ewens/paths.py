@@ -255,8 +255,9 @@ def mc_functionals(
 ) -> FunctionalSample:
     """Sampled functional values over independent partition draws.
 
-    One derived substream per replicate; the Feller coupling draws the
-    partition (extension disabled, only C^n is needed).
+    Replicate i draws from substream i (through `RngState.generators`);
+    the Feller coupling draws the partition (extension disabled, only C^n
+    is needed).
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
@@ -264,9 +265,8 @@ def mc_functionals(
     if stat_kind not in ("sup", "l2"):
         raise ValueError(f"stat_kind must be sup or l2, got {stat_kind!r}")
     values = np.empty(replicates, dtype=np.float64)
-    for i in range(replicates):
-        s = sample_feller(params, rng.substream(i))
-        path = build_path(s.c_n)
+    for i, gen in enumerate(rng.generators(replicates)):
+        path = build_path(sample_feller(params, gen).c_n)
         values[i] = functional_stat(path, params.theta, which, eps)[idx]
     return FunctionalSample(which, stat_kind, values)
 

@@ -179,8 +179,8 @@ def zn_mc_distribution(
 ) -> np.ndarray:
     """Standardized Monte Carlo draws (K_n - mu)/sigma under the rule.
 
-    One independent substream per replicate; K_n is drawn exactly from its
-    Bernoulli representation.
+    Replicate i draws from substream i (through `RngState.generators`);
+    K_n is drawn exactly from its Bernoulli representation.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
@@ -188,8 +188,8 @@ def zn_mc_distribution(
     std = standardize(params)
     sigma = math.sqrt(std.sigma2)
     out = np.empty(replicates, dtype=np.float64)
-    for i in range(replicates):
-        out[i] = (sample_kn(params, rng.substream(i)) - std.mu) / sigma
+    for i, gen in enumerate(rng.generators(replicates)):
+        out[i] = (sample_kn(params, gen) - std.mu) / sigma
     return out
 
 

@@ -156,6 +156,21 @@ class TestSample:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("ewens: error: "), err
 
+    @pytest.mark.parametrize("raw", ["-5", "18446744073709551616"])
+    def test_env_seed_out_of_range_is_refused(self, capsys, monkeypatch, raw):
+        # wrapped modulo 2^64, it would draw with another seed than it records
+        monkeypatch.setenv("ESF_SEED", raw)
+        code, out, err = run_cli(["regime", "--coeff", "1", "--exponent", "1", "--n", "50", "--mc", "1000"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("ewens: error: ESF_SEED"), err
+
+    def test_flag_seed_out_of_range_is_refused(self, capsys):
+        code, out, err = run_cli(
+            ["sample", "--sampler", "kn", "--n", "10", "--theta", "2", "--seed", str(2**64 + 1)], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == f"ewens: error: argument --seed: must be in 0..{2**64 - 1}, got {2**64 + 1}\n"
+
 
 class TestMoments:
     def test_fields_present(self, capsys):
@@ -293,6 +308,9 @@ class TestExitCodes:
             ("pmf --n 5 --theta 2 --dist singleton --method bernoulli_convolution", "--method"),
             ("leading-term --theta 1e5 --b 1500 --n-grid 2000", "theta=100000, b=1500"),
             ("bounds --n 10 --theta 2 --b 5 --w 1e8", "theta=2, b=5"),
+            ("regime --coeff 1 --exponent 1 --mc 1000", "--n"),
+            ("sample --sampler kn --n 10 --theta 2 --seed 18446744073709551617", "--seed:"),
+            ("sample --sampler kn --n 10 --theta 2 --seed -1", "--seed:"),
         ):
             code, out, err = run_cli(argv.split(), capsys)
             assert code == 1, argv

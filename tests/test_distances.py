@@ -32,7 +32,7 @@ from ewens.distances import (
     yannaros_bound,
 )
 from ewens.laws import EsfParams, Pmf, kn_pmf
-from ewens.sampling import RngState
+from ewens.sampling import RngState, sample_feller
 
 
 class TestTvDiscrete:
@@ -332,6 +332,16 @@ class TestDbwMc:
         # 400 draws coincide; reconstruct the short mean from scratch
         again = dbw_mc(params, 2, 400, RngState(55))
         assert short.estimate == again.estimate
+
+    def test_matches_a_loop_over_substreams(self):
+        # the reference loop: replicate i draws from substream i
+        params, b, m, rng = EsfParams(250, 3.0), 3, 300, RngState(45)
+        draws = [sample_feller(params, rng.substream(i), b_max=b) for i in range(m)]
+        x = np.array([np.abs(s.c_n.prefix(b) - s.c_inf).sum() for s in draws])
+        est = dbw_mc(params, b, m, rng)
+        mean = int(x.sum()) / m
+        var = (int((x * x).sum()) - m * mean * mean) / (m - 1)
+        assert (est.estimate, est.se, est.bias_bound) == (mean, math.sqrt(var / m), draws[-1].residual)
 
     def test_estimate_within_bracket(self):
         # (n, theta, b) = (10000, 2, 1): closed-form bracket plus 4 SE slack

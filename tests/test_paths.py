@@ -423,6 +423,18 @@ class TestMcFunctionals:
         longer = mc_functionals(params, "X4", "sup", DEFAULT_EPS, 1500, RngState(17))
         assert np.array_equal(longer.values[:1000], a.values)
 
+    @pytest.mark.parametrize("which,stat_kind", [("X4", "sup"), ("X2", "l2")])
+    def test_matches_a_loop_over_substreams(self, which, stat_kind):
+        # the reference loop: replicate i draws from substream i
+        params, rng = EsfParams(300, 2.0), RngState(44)
+        idx = 0 if stat_kind == "sup" else 1
+        ref = [
+            functional_stat(build_path(sample_feller(params, rng.substream(i)).c_n), 2.0, which, DEFAULT_EPS)[idx]
+            for i in range(1000)
+        ]
+        got = mc_functionals(params, which, stat_kind, DEFAULT_EPS, 1000, rng)
+        assert np.array_equal(got.values, ref)
+
     def test_meta_records_configuration(self):
         params = EsfParams(500, 1.0)
         s = mc_functionals(params, "X1", "l2", 0.02, 1000, RngState(5))

@@ -28,7 +28,7 @@ from ewens.regimes import (
     standardized_lattice_tv,
     zn_mc_distribution,
 )
-from ewens.sampling import RngState
+from ewens.sampling import RngState, sample_kn
 
 
 class TestClassify:
@@ -198,6 +198,14 @@ class TestZnMc:
         a = zn_mc_distribution(rule, 2000, 1000, RngState(41))
         b = zn_mc_distribution(rule, 2000, 1000, RngState(41))
         assert np.array_equal(a, b)
+
+    def test_matches_a_loop_over_substreams(self):
+        # the reference loop: replicate i draws from substream i
+        rule, n, rng = GrowthRule(2.0, 1.0), 300, RngState(43)
+        params = EsfParams(n, rule.theta_at(n))
+        std = standardize(params)
+        ref = [(sample_kn(params, rng.substream(i)) - std.mu) / math.sqrt(std.sigma2) for i in range(1000)]
+        assert np.array_equal(zn_mc_distribution(rule, n, 1000, rng), ref)
 
     def test_case_a_mini_is_near_gaussian(self):
         z = zn_mc_distribution(GrowthRule(1.0, 0.5), 3000, 1500, RngState(321))

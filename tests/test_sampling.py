@@ -17,6 +17,7 @@ from ewens.sampling import (
     FellerSample,
     RngState,
     _geometric,
+    _philox_keys,
     sample_crp,
     sample_feller,
     sample_kn,
@@ -80,6 +81,55 @@ class TestRngState:
                 seen.add(v)
 
 
+class TestGenerators:
+    def test_keys_match_numpy_seed_sequence(self):
+        # seeds and streams of one and two 32-bit words, zero included: every
+        # entropy length SeedSequence sees, 2 to 4 words
+        edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        rnd = np.random.default_rng(0).integers(0, 2**64, 6, dtype=np.uint64).tolist()
+        streams = np.array(edges + rnd, dtype=np.uint64)
+        for seed in edges + rnd:
+            keys = _philox_keys(seed, streams)
+            for s, key in zip(streams.tolist(), keys):
+                want = np.random.SeedSequence(entropy=(seed, s)).generate_state(2, np.uint64)
+                assert np.array_equal(key, want), (seed, s)
+
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (2**32, 2**64 - 1), (DEFAULT_SEED, 3)])
+    def test_draws_match_substream_generators(self, seed, stream):
+        root = RngState(seed, stream)
+        for i, gen in enumerate(root.generators(60)):
+            ref = root.substream(i).generator()
+            # an odd count of int32 draws leaves a buffered half-word
+            # (has_uint32) behind, which the next re-keying must clear
+            assert np.array_equal(gen.integers(0, 1000, 5, dtype=np.int32), ref.integers(0, 1000, 5, dtype=np.int32))
+            assert np.array_equal(gen.random(3), ref.random(3))
+            assert gen.beta(2.5, 7.0) == ref.beta(2.5, 7.0)
+            assert np.array_equal(gen.standard_normal(4), ref.standard_normal(4))
+
+    def test_longer_run_extends_a_shorter_one(self):
+        root = RngState(17)
+        short = [g.random() for g in root.generators(100)]
+        long = [g.random() for g in root.generators(1000)]
+        assert long[:100] == short
+
+    def test_keys_continue_across_hashing_blocks(self):
+        root = RngState(8)
+        for i, gen in enumerate(root.generators(4100)):
+            if i >= 4094:
+                assert gen.random() == root.substream(i).generator().random(), i
+
+    def test_samplers_take_a_generator(self):
+        params = EsfParams(200, 1.5)
+        gen = next(RngState(4).generators(1))
+        assert sample_kn(params, gen) == sample_kn(params, RngState(4).substream(0))
+        gen = next(RngState(4).generators(1))
+        assert sample_crp(params, gen) == sample_crp(params, RngState(4).substream(0))
+        gen = next(RngState(4).generators(1))
+        a = sample_feller(params, gen, b_max=3)
+        b = sample_feller(params, RngState(4).substream(0), b_max=3)
+        assert a.c_n == b.c_n and np.array_equal(a.c_inf, b.c_inf)
+
+
 class TestSeedFromEnv:
     def test_default_when_unset(self, monkeypatch):
         monkeypatch.delenv("ESF_SEED", raising=False)
@@ -93,6 +143,17 @@ class TestSeedFromEnv:
         monkeypatch.setenv("ESF_SEED", "not-a-seed")
         with pytest.raises(ValueError):
             seed_from_env()
+
+    @pytest.mark.parametrize("raw", ["-5", "18446744073709551616"])
+    def test_out_of_range_rejected(self, monkeypatch, raw):
+        # RngState would wrap these onto another seed than the one recorded
+        monkeypatch.setenv("ESF_SEED", raw)
+        with pytest.raises(ValueError, match="ESF_SEED"):
+            seed_from_env()
+
+    def test_largest_seed_accepted(self, monkeypatch):
+        monkeypatch.setenv("ESF_SEED", str(2**64 - 1))
+        assert seed_from_env() == 2**64 - 1
 
 
 class TestGeometric:

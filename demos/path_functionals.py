@@ -13,13 +13,13 @@ from ewens.paths import (
     DEFAULT_EPS,
     build_path,
     functional_stat,
+    kolmogorov_cdf,
     ks_distance,
     mc_functionals,
     process_value,
     reference_functionals,
 )
 from ewens.sampling import RngState, sample_feller
-from ewens.special import kolmogorov_cdf
 
 
 def main() -> None:

@@ -28,12 +28,6 @@ class PartitionTable:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"partition table mass {total} differs from 1 beyond 1e-12")
 
-    def prob(self, counts: tuple[int, ...]) -> float:
-        for part, p in self.entries:
-            if part.as_tuple() == counts:
-                return p
-        return 0.0
-
 
 def enumerate_esf(params: EsfParams) -> PartitionTable:
     """All partitions of n with their ESF probabilities (n <= 16)."""

@@ -17,7 +17,6 @@ from scipy.special import digamma, ndtr
 
 from . import bruteforce, distances, laws, paths, regimes, sampling
 from .laws import EsfParams
-from .special import kolmogorov_cdf
 
 _PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
 
@@ -327,7 +326,7 @@ def _check_reference_bridge() -> str:
     ref = paths.reference_functionals(
         "X4", "sup", 0.01, 2**12, 10**4, sampling.RngState(5)
     )
-    ks = paths.ks_distance(ref, kolmogorov_cdf)
+    ks = paths.ks_distance(ref, paths.kolmogorov_cdf)
     if ks > 0.03:
         raise AssertionError(f"reference bridge KS {ks:.4f} > 0.03")
     return f"sup|bridge| vs closed-form cdf: KS = {ks:.4f}"

@@ -27,7 +27,7 @@ from . import bruteforce, distances, laws, paths, regimes, sampling
 from .checks import run_checks
 from .laws import EsfParams
 from .sampling import RngState
-from .special import kolmogorov_cdf
+from .special import log1p_ratio
 
 
 class _UsageError(Exception):
@@ -206,7 +206,7 @@ def _run_bounds(ns: argparse.Namespace) -> int:
     reports.append(distances.make_report("bh_lower", lo, detail="Bernoulli-sum TV lower bound"))
     reports.append(distances.make_report("bh_upper", up, detail="Bernoulli-sum TV upper bound"))
     mean, _ = laws.kn_mean_var(p)
-    mu_a = p.theta * math.log1p(p.n / p.theta)
+    mu_a = p.theta * log1p_ratio(p.n, p.theta)
     reports.append(
         distances.make_report(
             "yannaros_mu_A",
@@ -311,7 +311,7 @@ def _run_fclt(ns: argparse.Namespace) -> int:
     stat = ns.stat
     sample = paths.mc_functionals(p, which, stat, ns.eps, ns.m, RngState(seed))
     if which == "X4" and stat == "sup":
-        ks = paths.ks_distance(sample, kolmogorov_cdf)
+        ks = paths.ks_distance(sample, paths.kolmogorov_cdf)
         reference = "kolmogorov_cdf"
     else:
         eps_ref = ns.eps / math.log(p.n)

@@ -13,20 +13,21 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import digamma, logsumexp
+from scipy.special import digamma, lambertw, logsumexp
 
 from .laws import (
     EsfParams,
     Pmf,
-    _tlm_log,
+    conditioning_log_ratio,
     failure_probs,
     kn_mean_var,
     kn_pmf,
     success_probs,
+    tlm_logpmf,
     tlm_pmf,
 )
 from .sampling import RngState, sample_feller
-from .special import harmonic_number, log_rising_factorial
+from .special import harmonic_number, log1p_ratio, log_rising_factorial
 
 
 def _tol(value: float) -> float:
@@ -139,15 +140,10 @@ def prelim_sums(params: EsfParams) -> tuple[PrelimSums, list[BoundReport]]:
     ps = success_probs(n, theta)
     qs = failure_probs(n, theta)
     sums = PrelimSums(math.fsum(ps), math.fsum(ps * ps), math.fsum(qs), math.fsum(qs * qs))
-    # n/theta overflows at tiny theta and n*theta at huge theta; neither is
-    # formed (at theta <= 1 the log is a difference, as in _pap1_bound)
-    mu_a_log = theta * (
-        math.log1p(n / theta) if theta > 1.0 else math.log(n + theta) - math.log(theta)
-    )
     reports = [
         make_report(
             "sum_p_gap",
-            sums.sum_p - mu_a_log,
+            sums.sum_p - theta * log1p_ratio(n, theta),
             lower=n / (2.0 * (theta + n)),
             upper=n / (theta + n),
             detail="sum p_j - theta*log(1+n/theta)",
@@ -205,17 +201,13 @@ def _pap1_bound(params: EsfParams) -> float:
     """(n theta + n + theta) / (theta (n + theta) log(1 + n/theta) + n/2).
 
     Above theta = 1 both sides are divided by theta, so theta (n + theta)
-    cannot overflow; below it log(1 + n/theta) is log(n + theta) - log theta,
-    so n/theta cannot.
+    cannot overflow.
     """
     n, theta = params.n, params.theta
+    log_term = log1p_ratio(n, theta)
     if theta > 1.0:
-        return (n + 1.0 + n / theta) / (
-            (n + theta) * math.log1p(n / theta) + n / (2.0 * theta)
-        )
-    return (n * theta + n + theta) / (
-        theta * (n + theta) * (math.log(n + theta) - math.log(theta)) + n / 2.0
-    )
+        return (n + 1.0 + n / theta) / ((n + theta) * log_term + n / (2.0 * theta))
+    return (n * theta + n + theta) / (theta * (n + theta) * log_term + n / 2.0)
 
 
 def kn_poisson_tv(params: EsfParams, center: str = "exact_mean") -> PoissonTv:
@@ -232,7 +224,7 @@ def kn_poisson_tv(params: EsfParams, center: str = "exact_mean") -> PoissonTv:
     if center == "exact_mean":
         lam, upper = lam_exact, base
     elif center == "mu_A":
-        lam = theta * math.log1p(n / theta)
+        lam = theta * log1p_ratio(n, theta)
         upper = base + yannaros_bound(lam_exact, lam)
     elif center == "mu_a":
         if n <= theta:
@@ -266,7 +258,7 @@ def db_exact(params: EsfParams, b: int) -> DbExact:
     """TV between (C_1..C_b) and independent Poissons, by compound laws.
 
     d_b(n) = sum_{a>=0} P(T_{0b} = a) (1 - P(T_{bn} = n-a)/P(T_{0n} = n))^+,
-    whose ratio is Q_bn(n-a) e^{theta H_b} / Q_0n(n) (see `_tlm_log`).
+    whose log ratio is `conditioning_log_ratio` plus theta H_b.
     Terms with a > n have the ratio identically zero, so they sum to
     P(T_{0b} > n) exactly, the tail mass of `tlm_pmf`'s window 0..n, which
     makes the truncation slack zero up to float rounding.
@@ -277,7 +269,7 @@ def db_exact(params: EsfParams, b: int) -> DbExact:
     b = int(b)
     t0b = tlm_pmf(theta, 0, b, n)
     with np.errstate(over="ignore"):
-        ratio = np.exp(_tlm_log(theta, b, n, n)[::-1] + theta * harmonic_number(b) - _tlm_log(theta, 0, n, n)[n])
+        ratio = np.exp(conditioning_log_ratio(theta, b, n) + theta * harmonic_number(b))
     deficit = np.clip(1.0 - ratio, 0.0, None)
     return DbExact(float(t0b.probs @ deficit) + t0b.tail_mass, 0.0)
 
@@ -285,21 +277,6 @@ def db_exact(params: EsfParams, b: int) -> DbExact:
 def _ld_rate(theta: float, w: float) -> float:
     """log of the Chernoff bound on P(T_{0b} >= b*w): w*log(theta*e/w)."""
     return w * math.log(theta * math.e / w)
-
-
-def _ld_quantile(theta: float, b: int, log_eps: float) -> int:
-    """Smallest convenient M with certified P(T_{0b} > M) <= exp(log_eps)."""
-    lo = theta * math.e
-    hi = max(2.0 * lo, 4.0)
-    while _ld_rate(theta, hi) > log_eps:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _ld_rate(theta, mid) > log_eps:
-            lo = mid
-        else:
-            hi = mid
-    return int(math.ceil(b * hi)) + 1
 
 
 # The largest window 0..M of a T_0b law, and the largest M*b, that
@@ -310,9 +287,21 @@ _T0B_MAX_WINDOW = 2_000_000
 _T0B_MAX_CELLS = 500_000_000
 
 
-def _t0b_window(theta: float, b: int, *cuts: int) -> int:
-    """The largest of cuts and theta*b + 10 sd + 20, refused past the caps."""
-    m_cut = max(*cuts, int(math.ceil(theta * b + 10.0 * math.sqrt(theta * b) + 20.0)))
+def _t0b_window(theta: float, b: int, log_eps: float, *cuts: int) -> int:
+    """The largest of cuts, theta*b + 10 sd + 20 and a quantile M, within the caps.
+
+    The floor keeps the single jumps 1..20 that E|T_0b - theta b| is made of
+    at tiny theta. M = b theta x has log P(T_{0b} > M) <= log_eps by the
+    Chernoff bound log P(T_{0b} >= b w) <= `_ld_rate`(theta, w) - theta,
+    w >= theta (convexity gives (e^{sj} - 1)/j <= (e^{sb} - 1)/b; the paper
+    drops the -theta). With c = -log_eps/theta, x (log x - 1) = c - 1 at
+    x = e^{1 + W_0((c - 1)/e)}; c >= 1e-15 keeps (c - 1)/e above the branch
+    point -1/e and only widens the window.
+    """
+    c = max(-log_eps / theta, 1e-15)
+    x = math.exp(1.0 + lambertw((c - 1.0) / math.e).real)
+    floor = theta * b + 10.0 * math.sqrt(theta * b) + 20.0
+    m_cut = max((int(math.ceil(max(b * theta * x + 1.0, floor))), *cuts))
     if m_cut > _T0B_MAX_WINDOW or m_cut * b > _T0B_MAX_CELLS:
         raise ValueError(
             f"the law of T_0b at theta={theta:g}, b={b} needs a window of {m_cut} values; "
@@ -332,7 +321,7 @@ def e_abs_t0b(theta: float, b: int) -> float:
     b = int(b)
     if b == 0:
         return 0.0
-    law = tlm_pmf(theta, 0, b, _t0b_window(theta, b, _ld_quantile(theta, b, math.log(1e-16))))
+    law = tlm_pmf(theta, 0, b, _t0b_window(theta, b, math.log(1e-16)))
     return float(law.probs @ np.abs(law.support() - theta * b))
 
 
@@ -479,10 +468,10 @@ def ld_tail_bound(theta: float, b: int, w: float) -> LdTail:
     b = int(b)
     bound = _ld_rate(theta, w)
     a0 = int(math.ceil(b * w - 1e-9))
-    m_cut = _t0b_window(theta, b, 2 * a0 + 20, _ld_quantile(theta, b, min(math.log(1e-20), 3.0 * bound)))
-    lp = _tlm_log(theta, 0, b, m_cut) - theta * harmonic_number(b)
+    m_cut = _t0b_window(theta, b, min(math.log(1e-20), 3.0 * bound), 2 * a0 + 20)
+    lp = tlm_logpmf(theta, 0, b, m_cut)
     inside = float(logsumexp(lp[a0:])) if a0 <= m_cut else -math.inf
-    remainder = _ld_rate(theta, (m_cut + 1) / b)
+    remainder = _ld_rate(theta, (m_cut + 1) / b) - theta
     exact = float(np.logaddexp(inside, remainder))
     return LdTail(bound, exact)
 

@@ -29,7 +29,6 @@ from scipy.special import gammaln, logsumexp
 from .special import (
     STIRLING_CAP,
     harmonic_number,
-    log_bignat,
     log_rising_factorial,
     stirling_first_row,
 )
@@ -307,7 +306,7 @@ def kn_pmf(params: EsfParams, method: str | None = None) -> Pmf:
         row = stirling_first_row(n)
         lrf = log_rising_factorial(theta, n)
         lt = math.log(theta)
-        logp = np.array([log_bignat(row[k]) + k * lt - lrf for k in range(1, n + 1)])
+        logp = np.array([math.log(row[k]) + k * lt - lrf for k in range(1, n + 1)])
         return Pmf(1, np.exp(logp), 0.0)
     if method == "bernoulli_convolution":
         return Pmf(1, _kn_convolution(n, theta), 0.0)
@@ -349,7 +348,7 @@ def singleton_pmf(params: EsfParams) -> Pmf:
     n, theta = params.n, params.theta
     ks = np.arange(n + 1)
     logp = ks * math.log(theta) - gammaln(ks + 1.0)
-    logp += _tlm_log(theta, 1, n, n)[::-1] - _tlm_log(theta, 0, n, n)[n]
+    logp += conditioning_log_ratio(theta, 1, n)
     return Pmf(0, np.exp(logp), 0.0)
 
 
@@ -402,12 +401,25 @@ def _tlm_log(theta: float, l: int, m: int, max_value: int) -> np.ndarray:
         return np.log(q) + math.log(2.0) * np.array(ex, dtype=np.float64)
 
 
+def tlm_logpmf(theta: float, l: int, m: int, max_value: int) -> np.ndarray:
+    """log P(T_{lm} = v) for v = 0..max_value: `_tlm_log` minus theta(H_m - H_l)."""
+    return _tlm_log(theta, l, m, max_value) - theta * math.fsum(1.0 / j for j in range(l + 1, m + 1))
+
+
 def tlm_pmf(theta: float, l: int, m: int, max_value: int) -> Pmf:
     """Law of T_{lm} = sum_{j=l+1..m} j Z_j on {0..max_value} plus tail."""
-    h_lm = math.fsum(1.0 / j for j in range(l + 1, m + 1))
-    lp = _tlm_log(theta, l, m, max_value) - theta * h_lm
+    lp = tlm_logpmf(theta, l, m, max_value)
     tail = max(0.0, -math.expm1(float(logsumexp(lp))))
     return Pmf(0, np.exp(lp), tail)
+
+
+def conditioning_log_ratio(theta: float, b: int, n: int) -> np.ndarray:
+    """log Q_bn(n - a) - log Q_0n(n) for a = 0..n, Q as in `_tlm_log`.
+
+    That is log P(T_bn = n - a)/P(T_0n = n) - theta H_b, the ratio behind
+    every law conditioned on T_0n = n, with no theta*H_n ever formed.
+    """
+    return _tlm_log(theta, b, n, n)[::-1] - _tlm_log(theta, 0, n, n)[n]
 
 
 def t0n_log(params: EsfParams) -> float:
@@ -449,5 +461,4 @@ def conditioned_joint_prob(params: EsfParams, b: int, a_b: Sequence[int]) -> flo
         v * (math.log(theta) - math.log(j)) - math.lgamma(v + 1)
         for j, v in enumerate(a_b, start=1)
     )
-    log_rest = _tlm_log(theta, b, n, n - a)[n - a] - _tlm_log(theta, 0, n, n)[n]
-    return math.exp(log_z + log_rest)
+    return math.exp(log_z + conditioning_log_ratio(theta, b, n)[a])

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import kolmogorov
 
 from .laws import EsfParams, Partition
 from .sampling import RngState, sample_feller
@@ -332,14 +333,19 @@ def reference_functionals(
     return FunctionalSample(which, stat_kind, values)
 
 
+def kolmogorov_cdf(x):
+    """CDF of the Kolmogorov law P(sup_u |B°(u)| <= x), elementwise."""
+    return 1.0 - kolmogorov(x)
+
+
 def ks_distance(sample, reference) -> float:
-    """Kolmogorov-Smirnov distance, one-sample (callable cdf) or two-sample."""
+    """Kolmogorov-Smirnov distance, two-sample or to a callable cdf that takes an array."""
     xs = np.sort(np.asarray(getattr(sample, "values", sample), dtype=np.float64))
     m = xs.size
     if m < 100:
         raise ValueError(f"need at least 100 sample points, got {m}")
     if callable(reference):
-        cdf = np.array([reference(x) for x in xs])
+        cdf = reference(xs)
         grid = np.arange(m, dtype=np.float64)
         return float(
             np.maximum(cdf - grid / m, (grid + 1.0) / m - cdf).max()

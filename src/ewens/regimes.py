@@ -16,7 +16,7 @@ from scipy.special import ndtr
 
 from .laws import EsfParams, Pmf
 from .sampling import RngState, sample_kn
-from .special import log_rising_factorial
+from .special import log1p_ratio, log_rising_factorial
 
 MIN_REPLICATES = 10**3  # zn_mc_distribution
 
@@ -105,7 +105,7 @@ def standardize(params: EsfParams) -> Standardization:
     n, theta = params.n, params.theta
     if n < 2:
         raise ValueError("standardization needs n >= 2 (sigma vanishes at n = 1)")
-    log_term = math.log1p(n / theta)
+    log_term = log1p_ratio(n, theta)
     return Standardization(theta * log_term, theta * (log_term - n / (n + theta)))
 
 

@@ -62,36 +62,11 @@ def stirling_first_row(n: int) -> list[int]:
     return _stirling_rows[n]
 
 
-def log_bignat(value: int) -> float:
-    """log of a positive big integer, immune to float overflow."""
-    if value <= 0:
-        raise ValueError(f"value must be a positive integer, got {value!r}")
-    bits = value.bit_length()
-    if bits <= 970:
-        return math.log(float(value))
-    shift = bits - 970
-    return math.log(float(value >> shift)) + shift * math.log(2.0)
-
-
-def kolmogorov_cdf(x: float) -> float:
-    """CDF of the Kolmogorov law P(sup_u |B°(u)| <= x).
-
-    1 - 2 sum_{k>=1} (-1)^{k-1} exp(-2 k^2 x^2), summed until the term drops
-    below 1e-16. Returns 0 for x <= 0.
-    """
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if x <= 0.0:
-        return 0.0
-    total = 0.0
-    k = 1
-    while True:
-        term = math.exp(-2.0 * k * k * x * x)
-        total += term if k % 2 == 1 else -term
-        if term < 1e-16:
-            break
-        k += 1
-    return min(1.0, max(0.0, 1.0 - 2.0 * total))
+def log1p_ratio(n: float, theta: float) -> float:
+    """log(1 + n/theta), also where n/theta overflows; mu_A is theta times it."""
+    if theta > 1.0:
+        return math.log1p(n / theta)
+    return math.log(n + theta) - math.log(theta)
 
 
 def harmonic_number(n: int) -> float:

@@ -18,7 +18,6 @@ from ewens import distances, laws, paths, regimes, sampling
 from ewens.bruteforce import db_bruteforce, joint_prefix_law
 from ewens.laws import EsfParams, Partition, esf_pmf, partitions_of, singleton_pmf
 from ewens.sampling import RngState
-from ewens.special import kolmogorov_cdf
 
 
 def verdict(num, ok, detail):
@@ -235,7 +234,7 @@ def test_criterion_6_path_functionals_at_scale():
         if paths.process_value(path, theta, "X4", 1.0, eps) != 0.0:
             endpoint_ok = False
 
-    ks_sup = paths.ks_distance(sup_x4, kolmogorov_cdf)
+    ks_sup = paths.ks_distance(sup_x4, paths.kolmogorov_cdf)
 
     ref = paths.reference_functionals(
         "X5", "l2", eps / math.log(n), 1 << 12, 10**4, root.substream(2**32)

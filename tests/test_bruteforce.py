@@ -27,11 +27,6 @@ class TestEnumerateEsf:
         for part, p in table.entries:
             assert math.isclose(p, esf_pmf(params, part), rel_tol=1e-13)
 
-    def test_prob_lookup(self):
-        table = enumerate_esf(EsfParams(3, 2.0))
-        assert math.isclose(table.prob((1, 1, 0)), 0.5, rel_tol=1e-13)
-        assert table.prob((3, 0, 0)) > 0.0
-
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             enumerate_esf(EsfParams(17, 1.0))

@@ -10,9 +10,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ewens
 from ewens.cli import main
 
 
@@ -332,6 +336,25 @@ class TestExitCodes:
         assert {r["name"] for r in rows} >= {"sum_q", "sum_q2"}
         assert all(r["satisfied"] == "1" for r in rows), rows
 
+    def test_centering_finite_at_tiny_theta(self, capsys):
+        # n/theta overflows; mu_A = theta log(1 + n/theta) is about 7.1e-304
+        mu_a = 1e-306 * (math.log(1000.0) - math.log(1e-306))
+        code, out, _ = run_cli("moments --n 1000 --theta 1e-306".split(), capsys)
+        assert code == 0
+        rows = {r["name"]: float(r["value"]) for r in csv.DictReader(out.splitlines()[1:])}
+        assert math.isclose(rows["mu"], mu_a, rel_tol=1e-12)
+        assert math.isclose(rows["sigma2"], mu_a - 1e-306, rel_tol=1e-12)
+        code, out, err = run_cli("tv --n 1000 --theta 1e-306 --center mu_A".split(), capsys)
+        assert code == 0 and err == ""
+        rows = {r["name"]: r for r in csv.DictReader(out.splitlines()[1:])}
+        assert math.isclose(float(rows["kn_tv"]["lam"]), mu_a, rel_tol=1e-12)
+        # K_n >= 1 while Poisson(mu_A) is 0 with probability 1 - 7e-304
+        assert float(rows["kn_tv"]["value"]) == 1.0
+        code, out, _ = run_cli("bounds --n 1000 --theta 1e-306".split(), capsys)
+        assert code == 0
+        rows = {r["name"]: float(r["value"]) for r in csv.DictReader(out.splitlines()[1:])}
+        assert rows["yannaros_mu_A"] == 1.0
+
     @pytest.mark.parametrize(
         "argv", ["bounds --n 10 --theta 1e-320", "bounds --n 1000 --theta 1e308"]
     )
@@ -348,3 +371,13 @@ class TestExitCodes:
         code, out, err = run_cli(["pmf", "--n", "3"], capsys)
         assert out == ""
         assert err != ""
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats takes about a second, which every CLI call would pay
+    env = {**os.environ, "PYTHONPATH": str(Path(ewens.__file__).parents[1])}
+    script = "import sys, ewens.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert done.stdout.strip() == "False"

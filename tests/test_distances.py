@@ -13,9 +13,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from ewens.bruteforce import db_bruteforce
 from ewens.distances import (
+    _ld_rate,
+    _t0b_window,
     appendix_checks,
     make_report,
     bh_bounds,
@@ -31,7 +34,7 @@ from ewens.distances import (
     tv_discrete,
     yannaros_bound,
 )
-from ewens.laws import EsfParams, Pmf, kn_pmf
+from ewens.laws import EsfParams, Pmf, kn_pmf, tlm_logpmf
 from ewens.sampling import RngState, sample_feller
 
 
@@ -242,6 +245,11 @@ class TestEAbsT0b:
             p *= lam / (k + 1)
         assert math.isclose(e_abs_t0b(1.5, 1), math.fsum(terms), rel_tol=1e-12)
 
+    def test_tiny_theta_keeps_every_single_jump(self):
+        # T_03 = j with probability about theta/j for j = 1, 2, 3, so
+        # E|T_03 - 3 theta| = 3 theta + 3 theta up to O(theta^2)
+        assert math.isclose(e_abs_t0b(1e-300, 3), 6e-300, rel_tol=1e-12)
+
     def test_weighted_two_component_oracle(self):
         # b=2: T = Z_1 + 2 Z_2 with means theta and theta/2
         theta = 1.0
@@ -379,6 +387,21 @@ class TestLdTail:
             for w in (4.0, 8.0, 16.0):
                 r = ld_tail_bound(theta, 2, w)
                 assert r.exact_log <= r.bound_log + 1e-12
+
+    def test_window_bound_dominates_exact_tail(self):
+        # the T_0b window keeps the factor e^{-theta} that the paper's bound
+        # drops: log P(T_0b >= b w) <= w log(theta e / w) - theta, w >= theta
+        for theta in (0.5, 1.0, 2.0, 5.0, 20.0):
+            for b in (1, 2, 5):
+                lp = tlm_logpmf(theta, 0, b, int(8 * theta * b) + 200)
+                for w in theta * np.array([1.0, 1.5, 2.0, 4.0, 8.0]):
+                    tail = float(logsumexp(lp[math.ceil(b * w) :]))
+                    assert tail <= _ld_rate(theta, w) - theta, (theta, b, w)
+
+    def test_window_near_the_mean_at_large_theta_b(self):
+        # the 1e-16 quantile is about theta b + 8.6 b sqrt(theta), where the
+        # paper's bound would need e theta b = 815,485
+        assert _t0b_window(1e4, 30, math.log(1e-16)) == 326_119
 
 
 class TestAppendixChecks:

@@ -35,7 +35,6 @@ from ewens.paths import (
     reference_functionals,
 )
 from ewens.sampling import RngState, sample_feller
-from ewens.special import kolmogorov_cdf
 
 # (n, counts, theta) -> {process: (sup, l2)}; values from exact symbolic
 # integration of the step-function definitions at eps = 0.01.
@@ -451,10 +450,6 @@ class TestReferenceFunctionals:
         b = reference_functionals("X4", "sup", 0.001, 1 << 10, 200, RngState(31))
         assert np.array_equal(a.values, b.values)
 
-    def test_bridge_sup_follows_kolmogorov_law(self):
-        ref = reference_functionals("X4", "sup", 0.001, 1 << 12, 10000, RngState(606))
-        assert ks_distance(ref.values, kolmogorov_cdf) < 0.03
-
     def test_motion_l2_has_unit_mean(self):
         # E int_0^1 B(t)^2 dt = 1/2; X3 divides by the weight so
         # E int (B/sqrt t)^2 dt = 1 on (eps, 1]
@@ -475,7 +470,7 @@ class TestKsDistance:
     def test_two_point_sample_against_uniform(self):
         # empirical CDF of {0.1, 0.9} vs U(0,1): the gap peaks at 0.4
         sample = np.array([0.1] * 100 + [0.9] * 100)
-        assert math.isclose(ks_distance(sample, lambda x: min(max(x, 0.0), 1.0)), 0.4, rel_tol=1e-12)
+        assert math.isclose(ks_distance(sample, lambda x: np.clip(x, 0.0, 1.0)), 0.4, rel_tol=1e-12)
 
     def test_identical_samples_have_zero_distance(self):
         a = np.linspace(0.0, 1.0, 500)

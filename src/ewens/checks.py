@@ -137,7 +137,7 @@ def _check_tlm() -> str:
             law = laws.tlm_pmf(theta, 0, n, n)
             total = math.fsum(law.probs.tolist()) + law.tail_mass
             worst = max(worst, abs(total - 1.0))
-            closed = laws.t0n_closed(p)
+            closed = math.exp(laws.t0n_log(p))
             if abs(law.prob(n) - closed) > 1e-10 * closed:
                 raise AssertionError(f"t0n mismatch at n={n}, theta={theta}")
     if worst > 1e-9:

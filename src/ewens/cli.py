@@ -141,7 +141,7 @@ def _run_moments(ns: argparse.Namespace) -> int:
         rows += [["mu", s.mu], ["sigma2", s.sigma2]]
     for jj in [ns.j] if ns.j is not None else range(1, min(p.n, 5) + 1):
         rows.append([f"cjn_mean_{jj}", laws.cjn_mean(p, jj)])
-    rows.append(["t0n", laws.t0n_closed(p)])
+    rows.append(["t0n", math.exp(laws.t0n_log(p))])
     _table(ns, ["name", "value"], rows, {"n": p.n, "theta": p.theta})
     return 0
 

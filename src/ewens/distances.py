@@ -27,7 +27,7 @@ from .laws import (
     tlm_pmf,
 )
 from .sampling import RngState, sample_feller
-from .special import harmonic_number, log1p_ratio, log_rising_factorial
+from .special import harmonic_number, log1p_ratio
 
 
 def _tol(value: float) -> float:
@@ -248,30 +248,37 @@ def nkn_poisson_tv(params: EsfParams) -> PoissonTv:
 
 @dataclass(frozen=True)
 class DbExact:
-    """d_b(n) with the certified truncation slack of the a-sum."""
+    """d_b(n), which lies in [value, value + slack]."""
 
     value: float
     slack: float
+
+
+_DB_EPS = 1e-300
 
 
 def db_exact(params: EsfParams, b: int) -> DbExact:
     """TV between (C_1..C_b) and independent Poissons, by compound laws.
 
     d_b(n) = sum_{a>=0} P(T_{0b} = a) (1 - P(T_{bn} = n-a)/P(T_{0n} = n))^+,
-    whose log ratio is `conditioning_log_ratio` plus theta H_b.
-    Terms with a > n have the ratio identically zero, so they sum to
-    P(T_{0b} > n) exactly, the tail mass of `tlm_pmf`'s window 0..n, which
-    makes the truncation slack zero up to float rounding.
+    whose log ratio is `conditioning_log_ratio` plus theta H_b. Term a lies
+    in [0, P(T_{0b} = a)], so the sum stops at the T_0b window M at _DB_EPS,
+    and the certified P(T_{0b} > M) <= _DB_EPS is the slack. Where M reaches
+    n, the terms a > n (ratio zero) sum to the tail mass of `tlm_pmf`'s
+    window 0..n, and the slack is zero up to float rounding.
     """
     n, theta = params.n, params.theta
     if b != int(b) or not 1 <= b < n:
         raise ValueError(f"b must be in 1..{n - 1}, got {b!r}")
     b = int(b)
-    t0b = tlm_pmf(theta, 0, b, n)
+    m = _t0b_window(theta, b, math.log(_DB_EPS), limit=n)
+    t0b = tlm_pmf(theta, 0, b, m)
     with np.errstate(over="ignore"):
-        ratio = np.exp(conditioning_log_ratio(theta, b, n) + theta * harmonic_number(b))
+        ratio = np.exp(conditioning_log_ratio(theta, b, n)[: m + 1] + theta * harmonic_number(b))
     deficit = np.clip(1.0 - ratio, 0.0, None)
-    return DbExact(float(t0b.probs @ deficit) + t0b.tail_mass, 0.0)
+    if m == n:
+        return DbExact(float(t0b.probs @ deficit) + t0b.tail_mass, 0.0)
+    return DbExact(float(t0b.probs @ deficit), _DB_EPS)
 
 
 def _ld_rate(theta: float, w: float) -> float:
@@ -287,10 +294,11 @@ _T0B_MAX_WINDOW = 2_000_000
 _T0B_MAX_CELLS = 500_000_000
 
 
-def _t0b_window(theta: float, b: int, log_eps: float, *cuts: int) -> int:
-    """The largest of cuts, theta*b + 10 sd + 20 and a quantile M, within the caps.
+def _t0b_window(theta: float, b: int, log_eps: float, *cuts: int, limit: int | None = None) -> int:
+    """The largest of cuts, theta*b + 10 sd + b + 20 and a quantile M, within the caps.
 
-    The floor keeps the single jumps 1..20 that E|T_0b - theta b| is made of
+    A window of limit values or more is cut to limit and never refused. The
+    floor keeps every single jump 1..b, which E|T_0b - theta b| is made of
     at tiny theta. M = b theta x has log P(T_{0b} > M) <= log_eps by the
     Chernoff bound log P(T_{0b} >= b w) <= `_ld_rate`(theta, w) - theta,
     w >= theta (convexity gives (e^{sj} - 1)/j <= (e^{sb} - 1)/b; the paper
@@ -300,8 +308,10 @@ def _t0b_window(theta: float, b: int, log_eps: float, *cuts: int) -> int:
     """
     c = max(-log_eps / theta, 1e-15)
     x = math.exp(1.0 + lambertw((c - 1.0) / math.e).real)
-    floor = theta * b + 10.0 * math.sqrt(theta * b) + 20.0
+    floor = theta * b + 10.0 * math.sqrt(theta * b) + b + 20.0
     m_cut = max((int(math.ceil(max(b * theta * x + 1.0, floor))), *cuts))
+    if limit is not None and m_cut >= limit:
+        return limit
     if m_cut > _T0B_MAX_WINDOW or m_cut * b > _T0B_MAX_CELLS:
         raise ValueError(
             f"the law of T_0b at theta={theta:g}, b={b} needs a window of {m_cut} values; "
@@ -476,31 +486,23 @@ def ld_tail_bound(theta: float, b: int, w: float) -> LdTail:
     return LdTail(bound, exact)
 
 
-def _a1_residual(n: int, theta: float) -> float:
-    """Normalized residual of the rising-factorial expansion.
+def _a1_residual(n: int, t: int) -> float:
+    """Normalized residual of the rising-factorial expansion, integer theta = t >= 1.
 
-    R = Gamma(theta)(theta)_n/n! - n^(theta-1)(1 + theta(theta-1)/(2n)),
-    normalized by n^(theta-3) * theta^4. Exact rational arithmetic when
-    theta is integral, lgamma differences otherwise.
+    R = Gamma(t)(t)_n/n! - n^(t-1)(1 + t(t-1)/(2n)), normalized by
+    n^(t-3) * t^4, in exact rational arithmetic: Gamma(t)(t)_n/n! is
+    (n+1)...(n+t-1).
     """
-    if float(theta).is_integer() and theta >= 1:
-        t = int(theta)
-        exact = Fraction(1)
-        for i in range(1, t):
-            exact *= n + i
-        approx = Fraction(n) ** (t - 1) * (1 + Fraction(t * (t - 1), 2 * n))
-        residual = exact - approx
-        scale = Fraction(n) ** (t - 1) / n**2 * t**4
-        return abs(float(residual / scale))
-    lead = math.exp(
-        math.lgamma(theta) + log_rising_factorial(theta, n) - math.lgamma(n + 1)
-    )
-    approx = n ** (theta - 1.0) * (1.0 + theta * (theta - 1.0) / (2.0 * n))
-    return abs(lead - approx) * n**2 / (n ** (theta - 1.0) * theta**4)
+    exact = Fraction(1)
+    for i in range(1, t):
+        exact *= n + i
+    approx = Fraction(n) ** (t - 1) * (1 + Fraction(t * (t - 1), 2 * n))
+    scale = Fraction(n) ** (t - 1) / n**2 * t**4
+    return abs(float((exact - approx) / scale))
 
 
 # The fixed parameter grids of `appendix_checks`
-_A1_GRID = tuple((n, th) for n in (10**3, 10**4, 10**5) for th in (2.0, 5.0, 10.0))
+_A1_GRID = tuple((n, th) for n in (10**3, 10**4, 10**5) for th in (2, 5, 10))
 _A2_BASES = (1.1, 2.0, 5.0)
 _A2_MAX_B = 50
 _A3_GRID = ((0.5, 2), (1.0, 3), (2.0, 5), (5.0, 4))

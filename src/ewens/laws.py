@@ -231,7 +231,7 @@ def esf_pmf(params: EsfParams, a: Partition) -> float:
     if a.n != params.n:
         raise ValueError(f"partition of {a.n} does not match n = {params.n}")
     n, theta = params.n, params.theta
-    logp = math.lgamma(n + 1) - log_rising_factorial(theta, n)
+    logp = -log_q_ratio(theta, 0, n)
     lt = math.log(theta)
     for j, cj in zip(a.sizes.tolist(), a.mults.tolist()):
         logp += cj * (lt - math.log(j)) - math.lgamma(cj + 1)
@@ -320,19 +320,12 @@ def kn_mean_var(params: EsfParams) -> tuple[float, float]:
 
 
 def cjn_mean(params: EsfParams, j: int) -> float:
-    """E[C_j^n] = (theta/j) * n!/(n-j)! * Gamma(n+theta-j)/Gamma(n+theta)."""
+    """E[C_j^n] = (theta/j) Q_0,n-j(n-j)/Q_0n(n), in O(j) by `log_q_ratio`."""
     n, theta = params.n, params.theta
     if j != int(j) or not 1 <= j <= n:
         raise ValueError(f"j must be in 1..{n}, got {j!r}")
     j = int(j)
-    logv = (
-        math.log(theta)
-        - math.log(j)
-        + math.lgamma(n + 1)
-        - math.lgamma(n - j + 1)
-        - log_rising_factorial(n + theta - j, j)
-    )
-    return math.exp(logv)
+    return math.exp(math.log(theta) - math.log(j) - log_q_ratio(theta, n - j, n))
 
 
 def singleton_pmf(params: EsfParams) -> Pmf:
@@ -413,28 +406,31 @@ def tlm_pmf(theta: float, l: int, m: int, max_value: int) -> Pmf:
     return Pmf(0, np.exp(lp), tail)
 
 
+def log_q_ratio(theta: float, k: int, n: int) -> float:
+    """log Q_0n(n) - log Q_0k(k) = log prod_{i=k+1..n} (theta+i-1)/i, 0 <= k <= n.
+
+    Q_0m(m) = P(T_0m = m) e^{theta H_m} = (theta)_m/m! normalises every law
+    conditioned on T_0m = m. Past the factor theta at i = 1 each term is
+    log1p((theta-1)/i), and their fsum has none of the cancellation by which
+    an lgamma difference loses about eps*log(n!).
+    """
+    i = np.arange(max(k, 1) + 1, n + 1, dtype=np.float64)
+    head = [math.log(theta)] if k == 0 < n else []
+    return math.fsum(head + np.log1p((theta - 1.0) / i).tolist())
+
+
 def conditioning_log_ratio(theta: float, b: int, n: int) -> np.ndarray:
     """log Q_bn(n - a) - log Q_0n(n) for a = 0..n, Q as in `_tlm_log`.
 
     That is log P(T_bn = n - a)/P(T_0n = n) - theta H_b, the ratio behind
     every law conditioned on T_0n = n, with no theta*H_n ever formed.
     """
-    return _tlm_log(theta, b, n, n)[::-1] - _tlm_log(theta, 0, n, n)[n]
+    return _tlm_log(theta, b, n, n)[::-1] - log_q_ratio(theta, 0, n)
 
 
 def t0n_log(params: EsfParams) -> float:
-    """log P(T_{0n} = n) = -theta*H_n + log (theta)_n - log n!."""
-    n, theta = params.n, params.theta
-    return (
-        -theta * harmonic_number(n)
-        + log_rising_factorial(theta, n)
-        - math.lgamma(n + 1)
-    )
-
-
-def t0n_closed(params: EsfParams) -> float:
-    """P(T_{0n} = n) in closed form (exp of t0n_log)."""
-    return math.exp(t0n_log(params))
+    """log P(T_{0n} = n) = -theta*H_n + log Q_0n(n)."""
+    return -params.theta * harmonic_number(params.n) + log_q_ratio(params.theta, 0, params.n)
 
 
 def conditioned_joint_prob(params: EsfParams, b: int, a_b: Sequence[int]) -> float:

@@ -183,6 +183,13 @@ class TestMoments:
         for field in ("kn_mean", "kn_var", "mu", "sigma2", "t0n"):
             assert field in out
 
+    def test_cycle_count_mean_at_n_1e6(self, capsys):
+        # E C_1^n = n theta/(theta + n - 1), which an lgamma difference misses by 8e-11
+        code, out, _ = run_cli(["moments", "--n", "1000000", "--theta", "2"], capsys)
+        assert code == 0
+        rows = dict(l.split(",") for l in out.splitlines() if not l.startswith("#"))
+        assert abs(float(rows["cjn_mean_1"]) - 2e6 / 1000001) <= 1e-13
+
 
 class TestBounds:
     def test_report_rows(self, capsys):

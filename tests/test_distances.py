@@ -34,7 +34,8 @@ from ewens.distances import (
     tv_discrete,
     yannaros_bound,
 )
-from ewens.laws import EsfParams, Pmf, kn_pmf, tlm_logpmf
+from ewens.laws import EsfParams, Pmf, conditioning_log_ratio, kn_pmf, tlm_logpmf, tlm_pmf
+from ewens.special import harmonic_number
 from ewens.sampling import RngState, sample_feller
 
 
@@ -228,6 +229,23 @@ class TestDbExact:
     def test_matches_high_precision_recursion(self, n, theta, b):
         assert math.isclose(db_exact(EsfParams(n, theta), b).value, db_mpmath(n, theta, b), rel_tol=1e-10)
 
+    @pytest.mark.parametrize("n,theta,b", [(10**5, 2.0, 5), (10**5, 0.5, 3), (10**4, 1e3, 3)])
+    def test_window_matches_full_a_sum(self, n, theta, b):
+        # the a-sum over all of 0..n, with the same normaliser
+        t0b = tlm_pmf(theta, 0, b, n)
+        ratio = np.exp(conditioning_log_ratio(theta, b, n) + theta * harmonic_number(b))
+        full = float(t0b.probs @ np.clip(1.0 - ratio, 0.0, None)) + t0b.tail_mass
+        got = db_exact(EsfParams(n, theta), b)
+        assert math.isclose(got.value, full, rel_tol=1e-12)
+        # the window stops short of n, and its certified remainder is the slack
+        assert 0.0 < got.slack <= 1e-300
+
+    @pytest.mark.parametrize("n,theta,b", [(1000, 1e8, 3), (1000, 1e6, 5)])
+    def test_window_past_the_caps_is_cut_to_n(self, n, theta, b):
+        # the T_0b window exceeds n here, so the a-sum runs over 0..n as before
+        got = db_exact(EsfParams(n, theta), b)
+        assert 0.0 < got.value <= 1.0 and got.slack == 0.0
+
 
 class TestEAbsT0b:
     def test_hand_worked_value(self):
@@ -249,6 +267,8 @@ class TestEAbsT0b:
         # T_03 = j with probability about theta/j for j = 1, 2, 3, so
         # E|T_03 - 3 theta| = 3 theta + 3 theta up to O(theta^2)
         assert math.isclose(e_abs_t0b(1e-300, 3), 6e-300, rel_tol=1e-12)
+        # and every single jump j <= b past 20: E|T_0,50 - 50 theta| = 100 theta
+        assert math.isclose(e_abs_t0b(1e-300, 50), 1e-298, rel_tol=1e-12)
 
     def test_weighted_two_component_oracle(self):
         # b=2: T = Z_1 + 2 Z_2 with means theta and theta/2

@@ -20,6 +20,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ewens.laws
 from ewens.bruteforce import tilted_conditioning_check
 from ewens.laws import (
     _tlm_log,
@@ -28,12 +29,13 @@ from ewens.laws import (
     Pmf,
     cjn_mean,
     conditioned_joint_prob,
+    conditioning_log_ratio,
     esf_pmf,
     kn_mean_var,
     kn_pmf,
+    log_q_ratio,
     partitions_of,
     singleton_pmf,
-    t0n_closed,
     t0n_log,
     tlm_pmf,
 )
@@ -240,6 +242,20 @@ class TestKnMoments:
         assert math.isclose(got_var, var, rel_tol=1e-10)
 
 
+def log_q_mpmath(theta, k, n):
+    """log Q_0n(n) - log Q_0k(k), Q_0m(m) = (theta)_m/m!, from 40-digit loggamma."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(theta)
+
+        def lq(m):
+            return mpmath.loggamma(t + m) - mpmath.loggamma(t) - mpmath.loggamma(m + 1)
+
+        return lq(n) - lq(k)
+
+
+_BIG_N_THETAS = (0.5, 2.0, 50.0)
+
+
 class TestCjnMean:
     def test_hand_worked_values(self):
         # E C_1^n = theta n / (theta + n - 1): n=3, theta=2 -> 3/2
@@ -261,6 +277,15 @@ class TestCjnMean:
         params = EsfParams(25, 3.3)
         total = sum(cjn_mean(params, j) for j in range(1, 26))
         assert math.isclose(total, kn_mean_var(params)[0], rel_tol=1e-12)
+
+    @pytest.mark.parametrize("theta", _BIG_N_THETAS)
+    def test_matches_mpmath_at_n_1e6(self, theta):
+        n = 10**6
+        params = EsfParams(n, theta)
+        for j in (1, 2, 5, n // 2):
+            with mpmath.workdps(40):
+                want = float(theta / mpmath.mpf(j) * mpmath.exp(-log_q_mpmath(theta, n - j, n)))
+            assert math.isclose(cjn_mean(params, j), want, rel_tol=1e-13), j
 
 
 def singleton_series(n, theta):
@@ -425,15 +450,38 @@ class TestTlmPmf:
         assert np.all(lq[1:] == -np.inf)
 
 
+class TestLogQRatio:
+    @pytest.mark.parametrize("n", [2, 10, 10**3, 10**5, 10**6])
+    def test_matches_mpmath_loggamma(self, n):
+        for theta in (1e-9, 0.5, 1.0, 2.0, 1e3, 1e6, 1e9):
+            want = float(log_q_mpmath(theta, 0, n))
+            assert abs(log_q_ratio(theta, 0, n) - want) <= 1e-15 * max(1.0, abs(want)), theta
+
+    @pytest.mark.parametrize("theta", [1e-9, 0.5, 3.0, 1e6])
+    def test_partial_products(self, theta):
+        n = 1000
+        for k in (1, 2, 17, 500, 999, 1000):
+            want = float(log_q_mpmath(theta, k, n))
+            assert abs(log_q_ratio(theta, k, n) - want) <= 1e-15 * max(1.0, abs(want)), k
+
+    def test_hand_worked_values(self):
+        # Q_03(3) = theta (theta+1) (theta+2)/6, Q_0k(k) cancels from the ratio
+        assert math.isclose(log_q_ratio(2.0, 0, 3), math.log(4.0), rel_tol=1e-15)
+        assert math.isclose(log_q_ratio(2.0, 1, 3), math.log(2.0), rel_tol=1e-15)
+        assert log_q_ratio(2.0, 3, 3) == 0.0
+
+
 class TestT0n:
     def test_log_route_matches_closed_form(self):
+        # the closed form against the T_0n recursion's own value at n
         for n, theta in [(2, 1.0), (5, 2.0), (30, 0.5), (100, 10.0)]:
             params = EsfParams(n, theta)
-            assert math.isclose(t0n_log(params), math.log(t0n_closed(params)), rel_tol=1e-12)
+            kernel = tlm_pmf(theta, 0, n, n).prob(n)
+            assert math.isclose(t0n_log(params), math.log(kernel), rel_tol=1e-12)
 
     def test_hand_worked_value(self):
         # P(T_02 = 2) at theta=1: e^{-3/2} (1/2 + 1/2) = e^{-3/2}
-        assert math.isclose(t0n_closed(EsfParams(2, 1.0)), math.exp(-1.5), rel_tol=1e-13)
+        assert math.isclose(math.exp(t0n_log(EsfParams(2, 1.0))), math.exp(-1.5), rel_tol=1e-13)
 
     def test_closed_form_is_rising_over_factorial(self):
         # Summing the Poisson product over partitions of n and applying the
@@ -442,7 +490,15 @@ class TestT0n:
         h6 = math.fsum(1 / j for j in range(1, 7))
         rising = math.prod(theta + i for i in range(n))
         expected = math.exp(-theta * h6) * rising / math.factorial(n)
-        assert math.isclose(t0n_closed(EsfParams(n, theta)), expected, rel_tol=1e-13)
+        assert math.isclose(math.exp(t0n_log(EsfParams(n, theta))), expected, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("theta", _BIG_N_THETAS)
+    def test_matches_mpmath_at_n_1e6(self, theta):
+        n = 10**6
+        with mpmath.workdps(40):
+            want = float(-mpmath.mpf(theta) * mpmath.harmonic(n) + log_q_mpmath(theta, 0, n))
+        # an absolute error in the log is a relative error in P(T_0n = n)
+        assert abs(t0n_log(EsfParams(n, theta)) - want) <= 1e-13
 
 
 class TestConditioning:
@@ -461,6 +517,18 @@ class TestConditioning:
             marginal[key] = marginal.get(key, 0.0) + esf_pmf(params, Partition(counts))
         for key, p in marginal.items():
             assert math.isclose(conditioned_joint_prob(params, b, key), p, rel_tol=1e-10, abs_tol=1e-15)
+
+    def test_ratio_runs_one_recursion(self, monkeypatch):
+        # Q_0n(n) comes in closed form, not from a second pass over 0..n
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _tlm_log(*args)
+
+        monkeypatch.setattr(ewens.laws, "_tlm_log", counted)
+        conditioning_log_ratio(2.0, 3, 50)
+        assert calls == [(2.0, 3, 50, 50)]
 
     def test_infeasible_prefix_has_zero_mass(self):
         assert conditioned_joint_prob(EsfParams(4, 1.0), 2, (3, 1)) == 0.0

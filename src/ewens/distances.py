@@ -478,12 +478,17 @@ def ld_tail_bound(theta: float, b: int, w: float) -> LdTail:
     b = int(b)
     bound = _ld_rate(theta, w)
     a0 = int(math.ceil(b * w - 1e-9))
-    m_cut = _t0b_window(theta, b, min(math.log(1e-20), 3.0 * bound), 2 * a0 + 20)
-    lp = tlm_logpmf(theta, 0, b, m_cut)
-    inside = float(logsumexp(lp[a0:])) if a0 <= m_cut else -math.inf
-    remainder = _ld_rate(theta, (m_cut + 1) / b) - theta
-    exact = float(np.logaddexp(inside, remainder))
-    return LdTail(bound, exact)
+    log_eps = min(math.log(1e-20), 3.0 * bound)
+    # the window need only reach a0; where its Chernoff remainder is not
+    # below 1e-16 of the mass inside (a0 near or past the quantile), it
+    # reaches 2 a0 + 20
+    for cut in (a0 + 1, 2 * a0 + 20):
+        m_cut = _t0b_window(theta, b, log_eps, cut)
+        inside = float(logsumexp(tlm_logpmf(theta, 0, b, m_cut)[a0:]))
+        remainder = _ld_rate(theta, (m_cut + 1) / b) - theta
+        if remainder < inside + math.log(1e-16):
+            break
+    return LdTail(bound, float(np.logaddexp(inside, remainder)))
 
 
 def _a1_residual(n: int, t: int) -> float:

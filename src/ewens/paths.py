@@ -10,10 +10,17 @@ with w_j = log(1 + 1/j) its L2 sum over a run is S^2/theta (A_b - A_{a-1})
 - 2 S log((b+1)/a) + theta (C_b - C_{a-1}) from the prefix sums
 A_j = sum_{i<=j} w_i/H_i and C_j = sum_{i<=j} w_i H_i. H, A and C sit in
 one grow-only table of max n entries, built once.
+
+Cost model: `_stats` computes every functional for many paths at once,
+laid out back to back, and `functional_stat` is `_stats` on one path.
+`mc_functionals` keeps only each replicate's Feller success positions,
+so a replicate costs its n uniforms plus O(K_n) vectorised work, and one
+`_stats` call serves a block of `_KEY_BLOCK` replicates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +28,7 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .laws import EsfParams, Partition
-from .sampling import RngState, sample_feller
+from .sampling import _KEY_BLOCK, RngState, _successes
 
 _PROCESSES = ("X1", "X2", "X3", "X4", "X5")
 DEFAULT_EPS = 0.01
@@ -51,11 +58,15 @@ class StepPath:
         return int(self.cum_counts[i]) if i >= 0 else 0
 
 
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise ValueError("paths need n >= 2 (log n vanishes at n = 1)")
+
+
 def build_path(a: Partition) -> StepPath:
     """Step representation of u -> sum_{j <= n^u} c_j for a partition."""
     n = a.n
-    if n < 2:
-        raise ValueError("paths need n >= 2 (log n vanishes at n = 1)")
+    _check_n(n)
     cum = np.cumsum(a.mults)
     # np.log on both sides, so a cycle of size n sits at u = 1 exactly
     return StepPath(n, np.log(a.sizes) / np.log(n), cum, int(cum[-1]), a.sizes)
@@ -108,15 +119,6 @@ class _HarmonicTable:
 _TABLE = _HarmonicTable()
 
 
-def _intervals(path: StepPath) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constancy intervals [a, b) of u -> S(u) covering [0, 1], with S on each."""
-    a = np.concatenate(([0.0], path.jump_u))
-    b = np.append(path.jump_u, 1.0)
-    s = np.concatenate(([0], path.cum_counts))
-    keep = b > a
-    return a[keep], b[keep], s[keep].astype(np.float64)
-
-
 def process_value(
     path: StepPath, theta: float, which: str, u: float, eps: float = DEFAULT_EPS
 ) -> float:
@@ -144,73 +146,96 @@ def process_value(
     return math.sqrt(theta * big_l) * (s / k - u) / math.sqrt(u * (1.0 - u))
 
 
-def _x2_stat(path: StepPath, theta: float) -> tuple[float, float]:
-    """(sup_j |v_j|, sum_{j<n} v_j^2 w_j / log n) over the runs of constant S."""
-    n = path.n
-    table = _TABLE.upto(n)
-    if path.sizes[0] == 1:
-        starts, s = path.sizes, path.cum_counts
-    else:
-        starts = np.concatenate(([1], path.sizes))
-        s = np.concatenate(([0], path.cum_counts))
-    ends = np.append(starts[1:] - 1, n)
-    js = np.concatenate((starts, ends))
-    h = table.h[js]
-    v = (np.concatenate((s, s)) - theta * h) / np.sqrt(theta * h)
-    sup = float(np.abs(v).max())
-    # w_n carries no weight: the last run stops at n - 1 (and may be empty)
-    ends[-1] = n - 1
-    sl = s.astype(np.longdouble)
-    th = np.longdouble(theta)
-    sum_w = np.log1p((ends - starts + 1) / starts.astype(np.longdouble))
-    sum_a = table.a[ends] - table.a[starts - 1]
-    sum_c = table.c[ends] - table.c[starts - 1]
-    l2 = sl * sl / th * sum_a - 2.0 * sl * sum_w + th * sum_c
-    # the expansion cancels where v_j is near 0 (n = 2, S ~ theta H_1);
-    # a one-point run takes v_a^2 w_a directly
-    one = ends == starts
-    l2[one] = v[: starts.size][one] ** 2 * sum_w[one]
-    return sup, float(l2.sum()) / math.log(n)
-
-
-def functional_stat(
-    path: StepPath, theta: float, which: str, eps: float = DEFAULT_EPS
-) -> tuple[float, float]:
-    """Exact (sup |X|, integral X^2) of a process along one path, in O(K_n).
-
-    Sups evaluate both endpoints of every constancy interval (each branch
-    is monotone in u); L2 integrals use closed-form antiderivatives. X3 and
-    X5 are cut to u > eps/log n (and u < 1 - eps/log n for X5).
-    """
+def _check(which: str, eps: float) -> None:
     if which not in _PROCESSES:
         raise ValueError(f"unknown process {which!r}")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
+
+
+def _spread(values: np.ndarray, slots: np.ndarray, fill) -> np.ndarray:
+    """An array with values in the True slots and fill elsewhere."""
+    out = np.full(slots.size, fill, dtype=values.dtype)
+    out[slots] = values
+    return out
+
+
+def _per_path(ufunc: np.ufunc, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """ufunc.reduceat over consecutive runs of counts[r] values; 0.0 for an empty run."""
+    out = np.zeros(counts.size, values.dtype)
+    full = counts > 0
+    out[full] = ufunc.reduceat(values, (np.cumsum(counts) - counts)[full])
+    return out
+
+
+def _stats(
+    n: int,
+    theta: float,
+    which: str,
+    eps: float,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    cum: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (sup |X|, integral X^2) along many paths of size n, one entry each.
+
+    Path r's distinct cycle sizes (increasing, at least one) and cumulative
+    counts are sizes[starts[r]:starts[r+1]] and cum[...], back to back. The
+    paths' constancy intervals (X2: runs of j) are laid out back to back,
+    K_r + 1 slots for path r, evaluated in one vectorised pass and reduced
+    per path with reduceat. Sups evaluate both endpoints of every interval
+    (each branch is monotone in u); L2 integrals use closed-form
+    antiderivatives. X3 and X5 are cut to u > eps/log n (and
+    u < 1 - eps/log n for X5).
+    """
+    m = starts.size
+    stops = np.empty_like(starts)
+    stops[:-1] = starts[1:]
+    stops[-1] = sizes.size
+    # path r's slots run from starts[r] + r, where u = 0 (X2: j = 1), to
+    # stops[r] + r, where u = 1 (X2: j = n); the jumps fill the rest
+    r = np.arange(m)
+    lead = starts + r
+    after_jump = np.ones(sizes.size + m, dtype=bool)
+    after_jump[lead] = False
+    before_jump = np.ones(sizes.size + m, dtype=bool)
+    before_jump[stops + r] = False
     if which == "X2":
-        return _x2_stat(path, theta)
-    big_l = math.log(path.n)
+        return _x2_stats(n, theta, sizes, cum, lead, after_jump, before_jump)
+    k_total = cum[stops - 1]
+    big_l = math.log(n)
     tl = theta * big_l
     rt = math.sqrt(tl)
-    a, b, s = _intervals(path)
+    # np.log on both sides, as in build_path, so a cycle of size n sits at u = 1
+    u = np.log(sizes) / np.log(n)
+    a = _spread(u, after_jump, 0.0)
+    b = _spread(u, before_jump, 1.0)
     if which in ("X3", "X5"):
-        lo = np.maximum(a, eps / big_l)
-        hi = b if which == "X3" else np.minimum(b, 1.0 - eps / big_l)
-        keep = lo < hi
-        a, b, s = lo[keep], hi[keep], s[keep]
-    u = np.concatenate((a, b))
+        a = np.maximum(a, eps / big_l)
+        if which == "X5":
+            b = np.minimum(b, 1.0 - eps / big_l)
+    keep = b > a
+    counts = np.add.reduceat(keep, lead, dtype=np.intp)
+    a, b = a[keep], b[keep]
+    s = _spread(cum.astype(np.float64), after_jump, 0.0)[keep]
     if which in ("X1", "X3"):
-        big_a = s / tl
-        ends = np.abs(np.concatenate((s, s)) - u * tl)
-        ends = ends / (rt if which == "X1" else np.sqrt(tl * u))
+        ea, eb = np.abs(s - a * tl), np.abs(s - b * tl)
+        if which == "X1":
+            ea, eb = ea / rt, eb / rt
+        else:
+            ea, eb = ea / np.sqrt(tl * a), eb / np.sqrt(tl * b)
+    else:
+        big_a = s / np.repeat(k_total, stops - starts + 1)[keep]
+        ea, eb = rt * np.abs(big_a - a), rt * np.abs(big_a - b)
+        if which == "X5":
+            ea, eb = ea / np.sqrt(a * (1.0 - a)), eb / np.sqrt(b * (1.0 - b))
+    sup = _per_path(np.maximum, np.maximum(ea, eb), counts)
+    if which in ("X1", "X3"):
         # X(1) = (K - theta log n)/sqrt(theta log n) lies in no [a, b) when
         # the last jump sits at u = 1 (a single n-cycle)
-        ends = np.append(ends, abs(path.k_total - tl) / rt)
-    else:
-        big_a = s / path.k_total
-        ends = rt * np.abs(np.concatenate((big_a, big_a)) - u)
-        if which == "X5":
-            ends = ends / np.sqrt(u * (1.0 - u))
-    sup = float(np.max(ends, initial=0.0))
+        sup = np.maximum(sup, np.abs(k_total - tl) / rt)
+    if which == "X1":
+        big_a = s / tl
     if which in ("X1", "X4"):
         l2 = tl * ((big_a - a) ** 3 - (big_a - b) ** 3) / 3.0
     elif which == "X3":
@@ -221,12 +246,95 @@ def functional_stat(
         ) / tl
     else:
         l2 = tl * (_x5_antiderivative(big_a, b) - _x5_antiderivative(big_a, a))
-    return sup, float(l2.sum())
+    return sup, _per_path(np.add, l2, counts)
 
 
 def _x5_antiderivative(big_a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Antiderivative of (A-u)^2/(u(1-u)): A^2 log u - (A-1)^2 log(1-u) - u."""
     return big_a * big_a * np.log(u) - (big_a - 1.0) ** 2 * np.log1p(-u) - u
+
+
+def _x2_stats(
+    n: int,
+    theta: float,
+    sizes: np.ndarray,
+    cum: np.ndarray,
+    lead: np.ndarray,
+    after_jump: np.ndarray,
+    before_jump: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """X2's (sup_j |v_j|, sum_{j<n} v_j^2 w_j / log n) over the runs of constant S.
+
+    A path's runs start at 1 and at each of its sizes, and end one before
+    the next start or at n; the run from 1 is empty where the first size is 1.
+    """
+    table = _TABLE.upto(n)
+    first = _spread(sizes, after_jump, 1)
+    last = _spread(sizes - 1, before_jump, n)
+    s = _spread(cum, after_jump, 0)
+    keep = first <= last
+    counts = np.add.reduceat(keep, lead, dtype=np.intp)
+    first, last, s = first[keep], last[keep], s[keep]
+    h_first, h_last = table.h[first], table.h[last]
+    v_first = (s - theta * h_first) / np.sqrt(theta * h_first)
+    v_last = (s - theta * h_last) / np.sqrt(theta * h_last)
+    sup = _per_path(np.maximum, np.maximum(np.abs(v_first), np.abs(v_last)), counts)
+    # w_n carries no weight: each path's last run stops at n - 1 (and may be empty)
+    last[np.cumsum(counts) - 1] = n - 1
+    sl = s.astype(np.longdouble)
+    th = np.longdouble(theta)
+    sum_w = np.log1p((last - first + 1) / first.astype(np.longdouble))
+    sum_a = table.a[last] - table.a[first - 1]
+    sum_c = table.c[last] - table.c[first - 1]
+    l2 = sl * sl / th * sum_a - 2.0 * sl * sum_w + th * sum_c
+    # the expansion cancels where v_j is near 0 (n = 2, S ~ theta H_1);
+    # a one-point run takes v_a^2 w_a directly
+    one = last == first
+    l2[one] = v_first[one] ** 2 * sum_w[one]
+    return sup, _per_path(np.add, l2, counts).astype(np.float64) / math.log(n)
+
+
+_ONE_PATH = np.zeros(1, dtype=np.intp)
+
+
+def functional_stat(
+    path: StepPath, theta: float, which: str, eps: float = DEFAULT_EPS
+) -> tuple[float, float]:
+    """Exact (sup |X|, integral X^2) of a process along one path, in O(K_n).
+
+    `_stats` on this one path. X3 and X5 are cut to u > eps/log n (and
+    u < 1 - eps/log n for X5).
+    """
+    _check(which, eps)
+    sup, l2 = _stats(path.n, theta, which, eps, _ONE_PATH, path.sizes, path.cum_counts)
+    return float(sup[0]), float(l2[0])
+
+
+def _feller_blocks(n: int, hits: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, sizes, cum) of `_stats` for Feller draws given as success indices.
+
+    hits[r] holds replicate r's successes in 1..n, less one, increasing; its
+    blocks are the gaps between them, n + 1 - t_last closing them. All
+    replicates' (replicate, size) keys are grouped in one sort.
+    """
+    ks = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    pos = np.concatenate(hits)
+    gaps = np.empty_like(pos)
+    gaps[:-1] = pos[1:]
+    gaps[np.cumsum(ks) - 1] = n
+    gaps -= pos
+    keys = np.sort(np.repeat(np.arange(len(hits)), ks) * (n + 1) + gaps)
+    new = np.flatnonzero(np.diff(keys, prepend=-1))
+    mults = np.diff(new, append=keys.size)
+    rep, sizes = np.divmod(keys[new], n + 1)
+    weight = np.bincount(rep, sizes * mults, minlength=len(hits))
+    if np.any(weight != n):
+        bad = int(np.flatnonzero(weight != n)[0])
+        raise ValueError(f"blocks of replicate {bad} weigh {weight[bad]:.0f}, expected n = {n}")
+    starts = np.searchsorted(rep, np.arange(len(hits)))
+    cum = np.cumsum(mults)
+    cum -= np.repeat(cum[starts] - mults[starts], np.diff(starts, append=rep.size))
+    return starts, sizes, cum
 
 
 @dataclass(frozen=True)
@@ -256,19 +364,32 @@ def mc_functionals(
 ) -> FunctionalSample:
     """Sampled functional values over independent partition draws.
 
-    Replicate i draws from substream i (through `RngState.generators`);
-    the Feller coupling draws the partition (extension disabled, only C^n
-    is needed).
+    Replicate i draws its Feller successes in 1..n from substream i
+    (through `RngState.generators` and `_successes`), bit-identical to
+    `functional_stat` on `build_path(sample_feller(params, substream(i)).c_n)`.
+    Only the success positions are kept; each block of `_KEY_BLOCK`
+    replicates is then grouped and reduced by one `_stats` call. Per
+    replicate that is n uniforms plus O(K_n) vectorised work, and memory
+    is O(_KEY_BLOCK K_n) besides the replicates' values.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
     idx = 0 if stat_kind == "sup" else 1
     if stat_kind not in ("sup", "l2"):
         raise ValueError(f"stat_kind must be sup or l2, got {stat_kind!r}")
+    _check(which, eps)
+    n, theta = params.n, params.theta
+    _check_n(n)
     values = np.empty(replicates, dtype=np.float64)
-    for i, gen in enumerate(rng.generators(replicates)):
-        path = build_path(sample_feller(params, gen).c_n)
-        values[i] = functional_stat(path, params.theta, which, eps)[idx]
+    gens = rng.generators(replicates)
+    for lo in range(0, replicates, _KEY_BLOCK):
+        # draw from each generator before the iterator re-keys it
+        hits = [
+            _successes(gen, theta, n, n)[0].nonzero()[0]
+            for gen in itertools.islice(gens, _KEY_BLOCK)
+        ]
+        block = _stats(n, theta, which, eps, *_feller_blocks(n, hits))
+        values[lo : lo + len(hits)] = block[idx]
     return FunctionalSample(which, stat_kind, values)
 
 
@@ -298,37 +419,34 @@ def reference_functionals(
     if which in ("X3", "X5") and not 0.0 < eps < 0.5:
         raise ValueError(f"weighted references need eps in (0, 0.5), got {eps!r}")
     t = np.arange(grid_m + 1) / grid_m
-    if which == "X3":
-        window = t >= eps
-    elif which == "X5":
-        window = (t >= eps) & (t <= 1.0 - eps)
-    else:
-        window = np.ones(t.size, dtype=bool)
-    weight2 = {
-        "X1": np.ones(t.size),
-        "X2": np.ones(t.size),
-        "X3": np.where(t > 0.0, t, np.inf),
-        "X4": np.ones(t.size),
-        "X5": np.where((t > 0.0) & (t < 1.0), t * (1.0 - t), np.inf),
-    }[which]
-    t_sub = t[window]
-    w2_sub = weight2[window]
+    # the weighted windows t >= eps (and t <= 1 - eps) are contiguous
+    lo = int(np.searchsorted(t, eps)) if which in ("X3", "X5") else 0
+    hi = int(np.searchsorted(t, 1.0 - eps, side="right")) if which == "X5" else t.size
+    t_sub = t[lo:hi]
+    # squared weight on the window; X1, X2 and X4 have unit weight
+    w2_sub = {"X3": t_sub, "X5": t_sub * (1.0 - t_sub)}.get(which)
     gen = rng.generator()
     values = np.empty(replicates, dtype=np.float64)
     scale = 1.0 / math.sqrt(grid_m)
     chunk = max(1, min(replicates, (1 << 25) // (grid_m + 1)))
+    walks = np.empty((chunk, grid_m + 1))
+    walks[:, 0] = 0.0
     done = 0
     while done < replicates:
         m = min(chunk, replicates - done)
-        incr = gen.standard_normal((m, grid_m)) * scale
-        b = np.concatenate([np.zeros((m, 1)), np.cumsum(incr, axis=1)], axis=1)
+        b = walks[:m]
+        incr = gen.standard_normal((m, grid_m))
+        incr *= scale
+        np.cumsum(incr, axis=1, out=b[:, 1:])
         if which in ("X4", "X5"):
-            b = b - t[None, :] * b[:, -1:]
-        v = b[:, window]
+            b -= t * b[:, -1:]
+        v = b[:, lo:hi]
         if stat_kind == "sup":
-            values[done : done + m] = np.abs(v / np.sqrt(w2_sub)).max(axis=1)
+            v = np.abs(v) if w2_sub is None else np.abs(v / np.sqrt(w2_sub))
+            values[done : done + m] = v.max(axis=1)
         else:
-            values[done : done + m] = np.trapezoid(v * v / w2_sub, t_sub, axis=1)
+            v = v * v if w2_sub is None else v * v / w2_sub
+            values[done : done + m] = np.trapezoid(v, t_sub, axis=1)
         done += m
     return FunctionalSample(which, stat_kind, values)
 

@@ -19,7 +19,10 @@ and `sample_crp` take either an `RngState` or such a generator.
 
 Cost per draw: `sample_feller` and `sample_kn` read C^n, C^inf and K_n off
 one `_successes` pass, one uniform per position 1..n in one vectorised call
-and one step per success past n for the extension.
+and one step per success past n for the extension. `paths.mc_functionals`
+calls `_successes` directly and keeps only the success positions, so its
+replicates pay the n uniforms plus O(K_n) vectorised work, with no
+`Partition` per draw.
 """
 
 from __future__ import annotations

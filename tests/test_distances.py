@@ -423,6 +423,24 @@ class TestLdTail:
         # paper's bound would need e theta b = 815,485
         assert _t0b_window(1e4, 30, math.log(1e-16)) == 326_119
 
+    def test_window_matches_a_wider_window(self):
+        # the window reaches a0 + 1 or the quantile, and 2 a0 + 20 only where
+        # the remainder past it is not below 1e-16 of the mass inside
+        grid = [(th, b, w) for th in (0.5, 1.0, 2.0, 5.0, 10.0) for b in (1, 2, 3)
+                for w in (2.0, 4.0, 8.0, 16.0, 32.0)]
+        for theta, b, w in grid + [(100.0, 1, 250.0), (100.0, 2, 240.0), (50.0, 1, 120.0)]:
+            a0 = math.ceil(b * w - 1e-9)
+            wide = float(logsumexp(tlm_logpmf(theta, 0, b, 6 * a0 + 600)[a0:]))
+            exact = ld_tail_bound(theta, b, w).exact_log
+            assert math.isclose(exact, wide, rel_tol=1e-12), (theta, b, w)
+
+    def test_tail_at_the_mean_is_served(self):
+        # P(T_0b >= theta b) at theta = 1e5, b = 10 needs a window of about
+        # 1.03e6 values; a cut at 2 a0 + 20 = 2,000,020 was past the cap
+        r = ld_tail_bound(1e5, 10, 1e5)
+        assert math.isclose(math.exp(r.exact_log), 0.5, abs_tol=0.01)
+        assert r.exact_log <= r.bound_log
+
 
 class TestAppendixChecks:
     def test_all_satisfied(self):

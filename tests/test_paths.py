@@ -4,10 +4,13 @@ The closed-form sup and L2 statistics are checked against frozen values
 obtained by exact symbolic integration of the piecewise definitions (five
 hand-built partitions covering every process), against adaptive quadrature,
 against the algebraic identities linking the processes, and (for X2)
-against the dense route over every grid point j = 1..n. The Brownian
-reference simulator is validated on known distributional facts.
+against the dense route over every grid point j = 1..n. The batched
+Monte Carlo matches a loop of `functional_stat` over substreams bit for
+bit, edge draws included. The Brownian reference simulator is validated
+on known distributional facts and against its masked-copy route.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -23,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewens
+from ewens import paths
 from ewens.laws import EsfParams, Partition
 from ewens.paths import (
     DEFAULT_EPS,
@@ -100,6 +104,18 @@ HAND_WORKED = [
         },
     ),
 ]
+
+
+# (n, theta, eps) draws at the edges of the batched kernel
+EDGE_DRAWS = [(300, 2.0, DEFAULT_EPS), (2, 1.0, DEFAULT_EPS), (50, 1e6, DEFAULT_EPS),
+              (1000, 0.05, DEFAULT_EPS), (1000, 2.0, 3.0), (200, 5.0, 50.0)]
+
+
+@functools.cache
+def loop_paths(n, theta):
+    """The paths of replicates 0..999 of RngState(44), one substream each."""
+    rng = RngState(44)
+    return [build_path(sample_feller(EsfParams(n, theta), rng.substream(i)).c_n) for i in range(1000)]
 
 
 def dense_x2(path, theta):
@@ -422,17 +438,61 @@ class TestMcFunctionals:
         longer = mc_functionals(params, "X4", "sup", DEFAULT_EPS, 1500, RngState(17))
         assert np.array_equal(longer.values[:1000], a.values)
 
-    @pytest.mark.parametrize("which,stat_kind", [("X4", "sup"), ("X2", "l2")])
+    @pytest.mark.parametrize(
+        "which,stat_kind", [(w, k) for w in ("X1", "X2", "X3", "X4", "X5") for k in ("sup", "l2")]
+    )
     def test_matches_a_loop_over_substreams(self, which, stat_kind):
-        # the reference loop: replicate i draws from substream i
-        params, rng = EsfParams(300, 2.0), RngState(44)
+        # the reference loop: replicate i draws from substream i. The edge
+        # draws: n = 2; only singletons at theta = 1e6 (999 of 1000 paths);
+        # a single cycle at theta = 0.05 (689 of 1000); X3/X5 windows cutting
+        # the first intervals (eps = 3 at n = 1000 cuts u below 0.43) or
+        # every interval (eps = 50)
         idx = 0 if stat_kind == "sup" else 1
-        ref = [
-            functional_stat(build_path(sample_feller(params, rng.substream(i)).c_n), 2.0, which, DEFAULT_EPS)[idx]
-            for i in range(1000)
-        ]
-        got = mc_functionals(params, which, stat_kind, DEFAULT_EPS, 1000, rng)
-        assert np.array_equal(got.values, ref)
+        for n, theta, eps in EDGE_DRAWS:
+            params, rng = EsfParams(n, theta), RngState(44)
+            ref = [functional_stat(path, theta, which, eps)[idx] for path in loop_paths(n, theta)]
+            got = mc_functionals(params, which, stat_kind, eps, 1000, rng)
+            assert np.array_equal(got.values, ref), (n, theta, eps)
+
+    def test_blocks_must_weigh_n(self):
+        # position 1 is always a success; without it the blocks miss n
+        starts, sizes, cum = paths._feller_blocks(10, [np.array([0, 4]), np.array([0, 1, 2, 9])])
+        np.testing.assert_array_equal(starts, [0, 2])
+        np.testing.assert_array_equal(sizes, [4, 6, 1, 7])
+        np.testing.assert_array_equal(cum, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="replicate 1 weigh 8"):
+            paths._feller_blocks(10, [np.array([0, 4]), np.array([2, 5])])
+
+    def test_kernel_runs_once_per_block_of_replicates(self, monkeypatch):
+        calls = []
+        kernel = paths._stats
+
+        def counting(n, theta, which, eps, starts, sizes, cum):
+            calls.append(starts.size)
+            return kernel(n, theta, which, eps, starts, sizes, cum)
+
+        monkeypatch.setattr(paths, "_stats", counting)
+        params, rng = EsfParams(1000, 2.0), RngState(44)
+        whole = mc_functionals(params, "X5", "l2", DEFAULT_EPS, 1000, rng)
+        assert calls == [1000]
+        monkeypatch.setattr(paths, "_KEY_BLOCK", 300)
+        blocked = mc_functionals(params, "X5", "l2", DEFAULT_EPS, 1000, rng)
+        assert calls == [1000, 300, 300, 300, 100]
+        assert np.array_equal(blocked.values, whole.values)
+
+    def test_memory_stays_per_replicate(self):
+        # per replicate only the n uniforms and the success mask are live at
+        # once, then the block's O(m K) kernel arrays: 2.5 MB measured, where
+        # one m x n boolean array would be 100 MB at m = 1000, n = 1e5
+        params = EsfParams(10**5, 2.0)
+        mc_functionals(params, "X4", "sup", DEFAULT_EPS, 1000, RngState(3))  # caches p_j
+        tracemalloc.start()
+        try:
+            mc_functionals(params, "X4", "sup", DEFAULT_EPS, 1000, RngState(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_meta_records_configuration(self):
         params = EsfParams(500, 1.0)
@@ -460,6 +520,24 @@ class TestReferenceFunctionals:
     def test_endpoint_sup_positive(self):
         ref = reference_functionals("X1", "sup", 0.001, 1 << 10, 200, RngState(9))
         assert float(ref.values.min()) > 0.0
+
+    @pytest.mark.parametrize("which", ["X1", "X2", "X3", "X4", "X5"])
+    def test_matches_the_masked_route(self, which):
+        # the oracle: a zero column concatenated to the walk, the window as a
+        # boolean mask, every process divided by its weight; same normals
+        grid_m, m, eps = 1 << 10, 150, 0.013
+        t = np.arange(grid_m + 1) / grid_m
+        window = (t >= (eps if which in ("X3", "X5") else 0.0)) & (t <= (1.0 - eps if which == "X5" else 1.0))
+        w2 = {"X3": t, "X5": t * (1.0 - t)}.get(which, np.ones(t.size))[window]
+        incr = RngState(71).generator().standard_normal((m, grid_m)) * (1.0 / math.sqrt(grid_m))
+        b = np.concatenate([np.zeros((m, 1)), np.cumsum(incr, axis=1)], axis=1)
+        if which in ("X4", "X5"):
+            b = b - t[None, :] * b[:, -1:]
+        v = b[:, window]
+        sup = reference_functionals(which, "sup", eps, grid_m, m, RngState(71)).values
+        l2 = reference_functionals(which, "l2", eps, grid_m, m, RngState(71)).values
+        assert np.array_equal(sup, np.abs(v / np.sqrt(w2)).max(axis=1))
+        np.testing.assert_allclose(l2, np.trapezoid(v * v / w2, t[window], axis=1), rtol=1e-14)
 
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):

@@ -259,29 +259,48 @@ def failure_probs(n: int, theta: float) -> np.ndarray:
     return i / (theta + i)
 
 
-def _kn_convolution(n: int, theta: float) -> np.ndarray:
-    """P(K_n = k), k = 1..n: step j adds law * p_j, shifted up one, to law * q_j.
+_LEAF = 64  # Bernoulli factors per leaf of `_kn_tree`
 
-    Every term is positive and q_j keeps its full relative precision. The law
-    is log-concave, so only the window's ends underflow to 0.0; dropping them
-    makes each step cost the window of representable entries.
+
+def _kn_tree(n: int, theta: float) -> np.ndarray:
+    """P(K_n = k), k = 1..n, as a pairwise convolution tree over the Bernoulli(p_j).
+
+    The leaves are the laws of 64 consecutive factors j = 2..n, all built
+    at once, one numpy step per position over a (leaves x 65) array; the
+    last leaf is padded with p = 0, q = 1. Neighbouring laws are then
+    convolved in pairs up a binary tree (Biscarri, Zhao & Brunner 2018).
+    Every term is positive and q_j keeps its full relative precision, so
+    each entry keeps its relative accuracy. The law is log-concave, so only
+    a node's ends underflow to 0.0; dropping them makes each convolution
+    cost its window of representable entries.
     """
-    p = success_probs(n, theta).tolist()
-    q = failure_probs(n, theta).tolist()
-    out = np.zeros(n + 1)  # out[k - 1] = P(K_j = k), exactly 0.0 outside lo..hi-1
-    out[0] = 1.0
-    lo, hi = 0, 1
-    for j in range(1, n):
-        law = out[lo:hi]
-        shifted = law * p[j]
-        law *= q[j]
-        out[lo + 1 : hi + 1] += shifted
-        hi += 1
-        while out[lo] == 0.0:
-            lo += 1
-        while out[hi - 1] == 0.0:
-            hi -= 1
-    return out[:n]
+    leaves = max(1, -(-(n - 1) // _LEAF))
+    pad = leaves * _LEAF - (n - 1)
+    p = np.concatenate([success_probs(n, theta)[1:], np.zeros(pad)]).reshape(leaves, _LEAF)
+    q = np.concatenate([failure_probs(n, theta)[1:], np.ones(pad)]).reshape(leaves, _LEAF)
+    law = np.zeros((leaves, _LEAF + 1))  # law[b, s] = P(s successes in leaf b)
+    law[:, 0] = 1.0
+    for t in range(_LEAF):
+        shifted = law[:, : t + 1] * p[:, t : t + 1]
+        law[:, : t + 1] *= q[:, t : t + 1]
+        law[:, 1 : t + 2] += shifted
+    del p, q, shifted
+    # a node is (its least success count, its law from there, nonzero at both ends)
+    nonzero = law != 0.0
+    lo = nonzero.argmax(axis=1).tolist()
+    hi = (_LEAF + 1 - nonzero[:, ::-1].argmax(axis=1)).tolist()
+    nodes = [(a, row[a:b]) for a, b, row in zip(lo, hi, law)]
+    while len(nodes) > 1:
+        paired = []
+        for (off_a, a), (off_b, b) in zip(nodes[::2], nodes[1::2]):
+            c = np.convolve(a, b)
+            kept = np.flatnonzero(c)
+            paired.append((off_a + off_b + int(kept[0]), c[kept[0] : kept[-1] + 1]))
+        nodes = paired + nodes[2 * len(paired) :]
+    out = np.zeros(n)  # out[k - 1] = P(K_n = k) = P(k - 1 successes)
+    off, probs = nodes[0]
+    out[off : off + probs.size] = probs
+    return out
 
 
 def kn_pmf(params: EsfParams, method: str | None = None) -> Pmf:
@@ -289,10 +308,11 @@ def kn_pmf(params: EsfParams, method: str | None = None) -> Pmf:
 
     method="stirling" uses P(K_n = k) = s(n,k) theta^k / (theta)_n with the
     exact integer Stirling table (n <= STIRLING_CAP); "bernoulli_convolution"
-    runs `_kn_convolution` and works for any n. The default None takes the
-    Stirling route up to STIRLING_CAP, where its table is built once per n
-    and each law then costs well under a millisecond, and the convolution
-    above it.
+    runs the pairwise tree `_kn_tree` and works for any n. The default None
+    takes the Stirling route up to STIRLING_CAP, where its table is built
+    once per n and each law then costs well under a millisecond, and the
+    tree above it. Either way the law covers all of 1..n with tail_mass
+    0.0; entries below the smallest double are 0.0.
     """
     n, theta = params.n, params.theta
     if method is None:
@@ -309,7 +329,7 @@ def kn_pmf(params: EsfParams, method: str | None = None) -> Pmf:
         logp = np.array([math.log(row[k]) + k * lt - lrf for k in range(1, n + 1)])
         return Pmf(1, np.exp(logp), 0.0)
     if method == "bernoulli_convolution":
-        return Pmf(1, _kn_convolution(n, theta), 0.0)
+        return Pmf(1, _kn_tree(n, theta), 0.0)
     raise ValueError(f"unknown method {method!r}")
 
 

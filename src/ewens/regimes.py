@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .laws import EsfParams, Pmf
-from .sampling import RngState, sample_kn
-from .special import log1p_ratio, log_rising_factorial
+from .laws import EsfParams, Pmf, kn_pmf
+from .sampling import RngState
+from .special import log1p_ratio
 
 MIN_REPLICATES = 10**3  # zn_mc_distribution
 
@@ -148,9 +148,13 @@ def limit_law(case: RegimeCase) -> LawDescriptor:
 
 
 def singleton_full_prob(params: EsfParams) -> float:
-    """P(C_1^n = n) = theta^n / (theta)_n, evaluated in log space."""
-    n, theta = params.n, params.theta
-    return math.exp(n * math.log(theta) - log_rising_factorial(theta, n))
+    """P(C_1^n = n) = theta^n / (theta)_n = prod_{i<n} 1/(1 + i/theta).
+
+    The log1p terms are all positive and their fsum cancels nothing, where
+    n log(theta) - log (theta)_n loses about n * eps * log(theta).
+    """
+    i = np.arange(1, params.n, dtype=np.float64)
+    return math.exp(-math.fsum(np.log1p(i / params.theta).tolist()))
 
 
 @dataclass(frozen=True)
@@ -179,18 +183,21 @@ def zn_mc_distribution(
 ) -> np.ndarray:
     """Standardized Monte Carlo draws (K_n - mu)/sigma under the rule.
 
-    Replicate i draws from substream i (through `RngState.generators`);
-    K_n is drawn exactly from its Bernoulli representation.
+    The exact law `kn_pmf` is computed once; replicate i is the inverse of
+    its cumulative sum at one uniform from substream i (through
+    `RngState.generators`), so a longer run extends a shorter one. The
+    smallest k whose cumulative sum exceeds the uniform has positive mass;
+    a uniform at or past the sum's last value, which rounding can leave
+    below 1, takes the largest k of positive mass.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
     params = EsfParams(n, rule.theta_at(n))
     std = standardize(params)
-    sigma = math.sqrt(std.sigma2)
-    out = np.empty(replicates, dtype=np.float64)
-    for i, gen in enumerate(rng.generators(replicates)):
-        out[i] = (sample_kn(params, gen) - std.mu) / sigma
-    return out
+    law = kn_pmf(params)
+    u = np.fromiter((gen.random() for gen in rng.generators(replicates)), np.float64, replicates)
+    idx = np.minimum(np.searchsorted(np.cumsum(law.probs), u, side="right"), np.flatnonzero(law.probs)[-1])
+    return (law.offset + idx - std.mu) / math.sqrt(std.sigma2)
 
 
 def standardized_lattice_tv(z_values: np.ndarray, c: float) -> float:

@@ -2,14 +2,16 @@
 
 Reference values are derived independently of the implementation: partition
 probabilities from the defining product formula with exact rationals, the
-block-count law from both the Stirling and the Bernoulli-convolution routes
-and from the exact Stirling integers in 60-digit mpmath, the weighted-sum
+block-count law from both the Stirling and the convolution-tree routes, from
+a sequential Bernoulli convolution and from the exact Stirling integers in
+60-digit mpmath, the weighted-sum
 law from direct convolution of Poisson atoms and from a log-space dynamic
 program, and the singleton law from its alternating series in exact
 rationals.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -37,6 +39,8 @@ from ewens.laws import (
     partitions_of,
     singleton_pmf,
     t0n_log,
+    failure_probs,
+    success_probs,
     tlm_pmf,
 )
 from ewens.special import stirling_first_row
@@ -216,6 +220,78 @@ class TestKnPmf:
         mean, _ = kn_mean_var(params)
         slack = 1e-15 * theta * (abs(psi_0) + abs(psi_n)) + 1e-12 * mean
         assert abs(mean - theta * (psi_n - psi_0)) <= slack
+
+
+def kn_sequential(n, theta):
+    """P(K_n = k), k = 1..n, one Bernoulli(p_j) at a time: law * q_j plus law * p_j shifted.
+
+    Every term is positive and entries that underflow to 0.0 at the window's
+    ends are dropped, so each step costs the window of representable entries.
+    """
+    p = success_probs(n, theta).tolist()
+    q = failure_probs(n, theta).tolist()
+    out = np.zeros(n + 1)  # out[k - 1] = P(K_j = k), exactly 0.0 outside lo..hi-1
+    out[0] = 1.0
+    lo, hi = 0, 1
+    for j in range(1, n):
+        law = out[lo:hi]
+        shifted = law * p[j]
+        law *= q[j]
+        out[lo + 1 : hi + 1] += shifted
+        hi += 1
+        while out[lo] == 0.0:
+            lo += 1
+        while out[hi - 1] == 0.0:
+            hi -= 1
+    return out[:n]
+
+
+class TestKnTree:
+    """The default route above STIRLING_CAP: a pairwise tree of 64-factor leaves."""
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 66, 129, 700])
+    @pytest.mark.parametrize("theta", [1e-9, 2.0, 1e9])
+    def test_matches_sequential_at_leaf_edges(self, n, theta):
+        want = kn_sequential(n, theta)
+        got = kn_pmf(EsfParams(n, theta), method="bernoulli_convolution")
+        assert got.offset == 1 and got.probs.size == n and got.tail_mass == 0.0
+        big = want >= 1e-300
+        np.testing.assert_allclose(got.probs[big], want[big], rtol=1e-12, atol=0.0)
+        assert np.all(got.probs[~big] <= 1e-300)
+
+    @pytest.mark.parametrize("theta", [1e-9, 0.5, 2.0, 1e3, 1e9])
+    def test_matches_sequential_at_n_1e5(self, theta):
+        n = 10**5
+        want = kn_sequential(n, theta)
+        got = kn_pmf(EsfParams(n, theta))
+        assert got.offset == 1 and got.probs.size == n and got.tail_mass == 0.0
+        big = want >= 1e-15
+        np.testing.assert_allclose(got.probs[big], want[big], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("theta, tol", [(1e-9, 1e-10), (2.0, 1e-12), (1e3, 1e-12)])
+    def test_moments_at_n_1e6(self, theta, tol):
+        # P(K_n = 1) is a product of 1e6 rounded q_j, so at theta = 1e-9 the
+        # mass is good to about n * eps
+        params = EsfParams(10**6, theta)
+        pmf = kn_pmf(params)
+        assert pmf.offset == 1 and pmf.probs.size == params.n and pmf.tail_mass == 0.0
+        ks = pmf.support().astype(float)
+        mean = math.fsum(ks * pmf.probs)
+        var = math.fsum((ks - mean) ** 2 * pmf.probs)
+        want_mean, want_var = kn_mean_var(params)
+        assert abs(math.fsum(pmf.probs) - 1.0) <= tol
+        assert math.isclose(mean, want_mean, rel_tol=tol)
+        assert math.isclose(var, want_var, rel_tol=tol)
+
+    def test_peak_memory_at_n_1e6(self):
+        success_probs.cache_clear()
+        tracemalloc.start()
+        try:
+            kn_pmf(EsfParams(10**6, 1e3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
 
 
 class TestKnMoments:

@@ -6,6 +6,7 @@ are pinned by seed against their limiting distributions.
 """
 
 import math
+import types
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from ewens.laws import EsfParams, singleton_pmf
+import ewens.regimes
+from ewens.laws import EsfParams, Pmf, kn_pmf, singleton_pmf
 from ewens.paths import ks_distance
 from ewens.regimes import (
     C2Report,
@@ -28,7 +30,7 @@ from ewens.regimes import (
     standardized_lattice_tv,
     zn_mc_distribution,
 )
-from ewens.sampling import RngState, sample_kn
+from ewens.sampling import RngState
 
 
 class TestClassify:
@@ -169,6 +171,18 @@ class TestSingletonFull:
         got = singleton_full_prob(EsfParams(n, float(theta)))
         assert math.isclose(got, float(expected), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 30, 300, 1000, 10**4, 10**5])
+    @pytest.mark.parametrize("theta", [1e-9, 0.5, 2.0, 1e3, 5e5, 1e9, 1e15])
+    def test_matches_mpmath(self, n, theta):
+        with mpmath.workdps(40):
+            th = mpmath.mpf(theta)
+            want = th**n / mpmath.rf(th, n)
+        got = singleton_full_prob(EsfParams(n, theta))
+        if want >= 1e-300:
+            assert abs(got - want) <= 1e-12 * want, (got, float(want))
+        else:
+            assert got <= 1e-300
+
     @pytest.mark.parametrize("n,theta", [(5, 1.0), (30, 2.0), (300, 10.0)])
     def test_matches_singleton_pmf_endpoint(self, n, theta):
         params = EsfParams(n, theta)
@@ -200,12 +214,54 @@ class TestZnMc:
         assert np.array_equal(a, b)
 
     def test_matches_a_loop_over_substreams(self):
-        # the reference loop: replicate i draws from substream i
+        # the reference loop: replicate i is 1 + the number of cdf values at
+        # or below one uniform of substream i
         rule, n, rng = GrowthRule(2.0, 1.0), 300, RngState(43)
         params = EsfParams(n, rule.theta_at(n))
         std = standardize(params)
-        ref = [(sample_kn(params, rng.substream(i)) - std.mu) / math.sqrt(std.sigma2) for i in range(1000)]
+        cdf = np.cumsum(kn_pmf(params).probs)
+        ref = []
+        for i in range(1000):
+            k = 1 + int(np.count_nonzero(cdf <= rng.substream(i).generator().random()))
+            ref.append((k - std.mu) / math.sqrt(std.sigma2))
         assert np.array_equal(zn_mc_distribution(rule, n, 1000, rng), ref)
+
+    def test_draws_land_on_positive_mass_when_the_cdf_ends_below_one(self, monkeypatch):
+        # a law with zero entries inside and at its end whose cumulative sum
+        # stops 1e-12 short of 1, read at the cdf's steps and past its end
+        law = Pmf(1, np.array([0.25, 0.0, 0.5, 0.25 - 1e-12, 0.0, 0.0]))
+        monkeypatch.setattr(ewens.regimes, "kn_pmf", lambda params: law)
+        uniforms = [0.0, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0 - 2.0**-53] * 200
+
+        class Uniforms:
+            def generators(self, count):
+                for u in uniforms[:count]:
+                    yield types.SimpleNamespace(random=lambda u=u: u)
+
+        rule = GrowthRule(1.0, 0.5)
+        std = standardize(EsfParams(6, rule.theta_at(6)))
+        z = zn_mc_distribution(rule, 6, len(uniforms), Uniforms())
+        want = np.array([1, 3, 3, 4, 4, 4] * 200)
+        assert np.array_equal(z, (want - std.mu) / math.sqrt(std.sigma2))
+
+    @pytest.mark.parametrize("n, theta", [(1000, 1e-9), (700, 1e9)])
+    def test_every_draw_has_positive_mass(self, n, theta):
+        # laws whose far entries underflow to 0.0
+        rule = GrowthRule(theta, 0.0)
+        params = EsfParams(n, theta)
+        std = standardize(params)
+        pmf = kn_pmf(params)
+        k = np.rint(zn_mc_distribution(rule, n, 10**4, RngState(44)) * math.sqrt(std.sigma2) + std.mu)
+        assert np.all(pmf.probs[k.astype(np.int64) - pmf.offset] > 0.0)
+
+    def test_empirical_law_is_near_the_exact_law(self):
+        rule, n, m = GrowthRule(0.5, 2.0), 400, 10**5
+        params = EsfParams(n, rule.theta_at(n))
+        std = standardize(params)
+        z = zn_mc_distribution(rule, n, m, RngState(45))
+        k = np.rint(z * math.sqrt(std.sigma2) + std.mu).astype(np.int64)
+        emp = np.bincount(k - 1, minlength=n) / m
+        assert 0.5 * float(np.abs(emp - kn_pmf(params).probs).sum()) < 0.01
 
     def test_case_a_mini_is_near_gaussian(self):
         z = zn_mc_distribution(GrowthRule(1.0, 0.5), 3000, 1500, RngState(321))

@@ -33,10 +33,7 @@ def enumerate_esf(params: EsfParams) -> PartitionTable:
     """All partitions of n with their ESF probabilities (n <= 16)."""
     if params.n > _ENUM_CAP:
         raise ValueError(f"enumeration capped at n <= {_ENUM_CAP}, got {params.n}")
-    entries = [
-        (Partition(counts), esf_pmf(params, Partition(counts)))
-        for counts in partitions_of(params.n)
-    ]
+    entries = [(part, esf_pmf(params, part)) for part in map(Partition, partitions_of(params.n))]
     return PartitionTable(params, entries)
 
 

@@ -188,7 +188,7 @@ def _run_tv(ns: argparse.Namespace) -> int:
         if p.n <= bruteforce._DB_CAP:
             bf = bruteforce.db_bruteforce(p, ns.b)
             flag = "true" if abs(de.value - bf) < 1e-8 else "false"
-        rows.append(["db_exact", de.value, "", "", "", "", flag])
+        rows.append(["db_exact", de.value, de.value, de.value + de.slack, "", "", flag])
     _table(
         ns,
         ["name", "value", "lower", "upper", "lam", "closed_form_bound", "oracle_match"],

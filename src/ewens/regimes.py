@@ -184,18 +184,19 @@ def zn_mc_distribution(
     """Standardized Monte Carlo draws (K_n - mu)/sigma under the rule.
 
     The exact law `kn_pmf` is computed once; replicate i is the inverse of
-    its cumulative sum at one uniform from substream i (through
-    `RngState.generators`), so a longer run extends a shorter one. The
-    smallest k whose cumulative sum exceeds the uniform has positive mass;
-    a uniform at or past the sum's last value, which rounding can leave
-    below 1, takes the largest k of positive mass.
+    its cumulative sum at double i of the state's own stream
+    (`rng.generator().random(replicates)`). Each replicate reads exactly one
+    uniform, so a longer run extends a shorter one without a per-replicate
+    key. The smallest k whose cumulative sum exceeds the uniform has
+    positive mass; a uniform at or past the sum's last value, which rounding
+    can leave below 1, takes the largest k of positive mass.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
     params = EsfParams(n, rule.theta_at(n))
     std = standardize(params)
     law = kn_pmf(params)
-    u = np.fromiter((gen.random() for gen in rng.generators(replicates)), np.float64, replicates)
+    u = rng.generator().random(replicates)
     idx = np.minimum(np.searchsorted(np.cumsum(law.probs), u, side="right"), np.flatnonzero(law.probs)[-1])
     return (law.offset + idx - std.mu) / math.sqrt(std.sigma2)
 

@@ -7,13 +7,18 @@ platforms and any replicate can be regenerated in isolation via
 
 Set-up cost: `RngState.generator()` keys its Philox through numpy's
 `SeedSequence`, and one `substream(i).generator()` pair costs 24-34 us.
-Loops of at least 100 replicates use `RngState.generators(count)`
-instead. It yields generators whose draws are bit-identical to those of
-`substream(i).generator()` for i = 0..count-1, at 3-5 us each plus a fixed
-0.12 ms per loop, so it breaks even at about 5 replicates (2-vCPU Xeon VM,
-numpy 2.4). It hashes each index once, computes the Philox keys in one
-vectorised pass per block of 4096 indices, and re-keys a single Philox in
-place before each yield. Every yielded generator is that same object, so
+A loop whose replicates read exactly one uniform each needs no
+per-replicate key: `regimes.zn_mc_distribution` reads double i of one
+`generator()` stream for replicate i, which keeps both determinism rules.
+Loops of at least 100 replicates that read a variable number of uniforms,
+or must match `sample_feller(substream(i))` bit for bit
+(`paths.mc_functionals`, `distances.dbw_mc`), use
+`RngState.generators(count)` instead. It yields generators whose draws
+are bit-identical to those of `substream(i).generator()` for
+i = 0..count-1, at 3-5 us each plus a fixed 0.12 ms per loop, so it
+breaks even at about 5 replicates (2-vCPU Xeon VM, numpy 2.4). It hashes
+each index once, computes the Philox keys in one vectorised pass per block
+of 4096 indices, and re-keys a single Philox in place before each yield. Every yielded generator is that same object, so
 draw from it before advancing the iterator. `sample_feller`, `sample_kn`
 and `sample_crp` take either an `RngState` or such a generator.
 

@@ -18,6 +18,8 @@ import pytest
 
 import ewens
 from ewens.cli import main
+from ewens.distances import db_exact
+from ewens.laws import EsfParams
 
 
 def run_cli(argv, capsys):
@@ -70,6 +72,22 @@ class TestTv:
         assert code == 0
         assert "0.44818083824283661" in out
         assert "true" in out
+
+    @pytest.mark.parametrize("n, theta, b, window_reaches_n", [(12, 1.5, 3, True), (5000, 2.0, 5, False)])
+    def test_db_exact_row_prints_its_bracket(self, capsys, n, theta, b, window_reaches_n):
+        # [lower, upper] = [value, value + slack]; the slack is 0.0 where the
+        # T_0b window reaches n
+        de = db_exact(EsfParams(n, theta), b)
+        assert (de.slack == 0.0) == window_reaches_n
+        code, out, _ = run_cli(["tv", "--n", str(n), "--theta", str(theta), "--b", str(b)], capsys)
+        assert code == 0
+        row = {r["name"]: r for r in csv.DictReader(out.splitlines()[1:])}["db_exact"]
+        value, lower, upper = (float(row[k]) for k in ("value", "lower", "upper"))
+        assert value == de.value
+        assert upper >= lower == value
+        assert upper == de.value + de.slack
+        if window_reaches_n:
+            assert upper == value
 
     def test_kn_rows_have_bounds(self, capsys):
         code, out, _ = run_cli(["tv", "--n", "10", "--theta", "1"], capsys)

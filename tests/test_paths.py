@@ -539,6 +539,23 @@ class TestReferenceFunctionals:
         assert np.array_equal(sup, np.abs(v / np.sqrt(w2)).max(axis=1))
         np.testing.assert_allclose(l2, np.trapezoid(v * v / w2, t[window], axis=1), rtol=1e-14)
 
+    @pytest.mark.parametrize("which", ["X1", "X2", "X3", "X4", "X5"])
+    def test_l2_equals_trapezoid_on_the_window_slice(self, which):
+        # the in-place trapezoid sum against np.trapezoid of the squared,
+        # weighted window slice, with the same normals: equal bit for bit
+        grid_m, m, eps = 1 << 10, 300, 0.013
+        t = np.arange(grid_m + 1) / grid_m
+        lo = int(np.searchsorted(t, eps)) if which in ("X3", "X5") else 0
+        hi = int(np.searchsorted(t, 1.0 - eps, side="right")) if which == "X5" else t.size
+        w2 = {"X3": t, "X5": t * (1.0 - t)}.get(which, np.ones(t.size))[lo:hi]
+        incr = RngState(72).generator().standard_normal((m, grid_m)) * (1.0 / math.sqrt(grid_m))
+        b = np.concatenate([np.zeros((m, 1)), np.cumsum(incr, axis=1)], axis=1)
+        if which in ("X4", "X5"):
+            b -= t * b[:, -1:]
+        v = b[:, lo:hi]
+        l2 = reference_functionals(which, "l2", eps, grid_m, m, RngState(72)).values
+        assert np.array_equal(l2, np.trapezoid(v * v / w2, t[lo:hi], axis=1))
+
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
             reference_functionals("X1", "sup", 0.001, 100, 200, RngState(1))

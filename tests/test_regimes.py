@@ -213,18 +213,31 @@ class TestZnMc:
         b = zn_mc_distribution(rule, 2000, 1000, RngState(41))
         assert np.array_equal(a, b)
 
-    def test_matches_a_loop_over_substreams(self):
+    def test_matches_a_loop_over_one_stream(self):
         # the reference loop: replicate i is 1 + the number of cdf values at
-        # or below one uniform of substream i
+        # or below double i of the state's own stream
         rule, n, rng = GrowthRule(2.0, 1.0), 300, RngState(43)
         params = EsfParams(n, rule.theta_at(n))
         std = standardize(params)
         cdf = np.cumsum(kn_pmf(params).probs)
         ref = []
-        for i in range(1000):
-            k = 1 + int(np.count_nonzero(cdf <= rng.substream(i).generator().random()))
+        for u in rng.generator().random(1000):
+            k = 1 + int(np.count_nonzero(cdf <= u))
             ref.append((k - std.mu) / math.sqrt(std.sigma2))
         assert np.array_equal(zn_mc_distribution(rule, n, 1000, rng), ref)
+
+    def test_longer_run_extends_a_shorter_one(self):
+        rule, rng = GrowthRule(1.0, 0.5), RngState(46)
+        short = zn_mc_distribution(rule, 2000, 1000, rng)
+        assert np.array_equal(zn_mc_distribution(rule, 2000, 2500, rng)[:1000], short)
+
+    def test_reads_no_substream(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("zn_mc_distribution walked substreams")
+
+        monkeypatch.setattr(RngState, "substream", refuse)
+        monkeypatch.setattr(RngState, "generators", refuse)
+        assert zn_mc_distribution(GrowthRule(1.0, 0.5), 2000, 1000, RngState(47)).size == 1000
 
     def test_draws_land_on_positive_mass_when_the_cdf_ends_below_one(self, monkeypatch):
         # a law with zero entries inside and at its end whose cumulative sum
@@ -234,9 +247,8 @@ class TestZnMc:
         uniforms = [0.0, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0 - 2.0**-53] * 200
 
         class Uniforms:
-            def generators(self, count):
-                for u in uniforms[:count]:
-                    yield types.SimpleNamespace(random=lambda u=u: u)
+            def generator(self):
+                return types.SimpleNamespace(random=lambda count: np.array(uniforms[:count]))
 
         rule = GrowthRule(1.0, 0.5)
         std = standardize(EsfParams(6, rule.theta_at(6)))

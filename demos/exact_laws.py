@@ -1,13 +1,14 @@
 """Walk through the exact finite-n distributions on a small example.
 
-Prints the full partition law at n = 5, the block-count law computed two
-independent ways, the singleton-count law, and mean cycle counts next to
+Prints the full partition law at n = 5, the block-count law from the
+convolution tree next to the exact Stirling-integer oracle, the
+singleton-count law, and mean cycle counts next to
 their theta/j limit. Everything here is exact arithmetic on floats.
 """
 
 import numpy as np
 
-from ewens.bruteforce import enumerate_esf
+from ewens.bruteforce import enumerate_esf, kn_stirling_pmf
 from ewens.laws import (
     EsfParams,
     cjn_mean,
@@ -32,14 +33,14 @@ def main() -> None:
     print(f"  total mass {total:.12f}")
     print()
 
-    print("block-count law, two routes (triangular recurrence / convolution):")
-    via_stirling = kn_pmf(params, method="stirling")
-    via_bernoulli = kn_pmf(params, method="bernoulli_convolution")
-    for k in via_stirling.support():
-        a = via_stirling.prob(k)
-        b = via_bernoulli.prob(k)
-        print(f"  K = {k}: {a:.10f}  (route gap {abs(a - b):.1e})")
-    print(f"  mean blocks {via_stirling.mean():.6f}")
+    print("block-count law, convolution tree against the Stirling-integer oracle:")
+    tree = kn_pmf(params)
+    oracle = kn_stirling_pmf(params)
+    for k in tree.support():
+        a = tree.prob(k)
+        b = oracle.prob(k)
+        print(f"  K = {k}: {a:.10f}  (oracle gap {abs(a - b):.1e})")
+    print(f"  mean blocks {tree.mean():.6f}")
     print()
 
     print("singleton-count law:")

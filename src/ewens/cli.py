@@ -127,7 +127,15 @@ def _run_pmf(ns: argparse.Namespace) -> int:
         ]
         _table(ns, ["counts", "prob"], rows, meta)
         return 0
-    law = laws.kn_pmf(p, ns.method) if ns.dist == "kn" else laws.singleton_pmf(p)
+    if ns.method == "stirling":
+        if p.n > bruteforce.STIRLING_CAP:
+            raise ValueError(
+                f"--method stirling is the exact-integer oracle for n <= {bruteforce.STIRLING_CAP}; "
+                "use --method bernoulli_convolution"
+            )
+        law = bruteforce.kn_stirling_pmf(p)
+    else:
+        law = laws.kn_pmf(p) if ns.dist == "kn" else laws.singleton_pmf(p)
     _table(ns, ["k", "prob"], [[k, float(law.prob(k))] for k in law.support()], meta)
     return 0
 
@@ -393,7 +401,12 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("pmf", help="exact distribution tables")
     common(sp, _run_pmf)
     sp.add_argument("--dist", choices=("esf", "kn", "singleton"), required=True)
-    sp.add_argument("--method", choices=("stirling", "bernoulli_convolution"), help="kn only")
+    sp.add_argument(
+        "--method",
+        choices=("stirling", "bernoulli_convolution"),
+        help="kn only: bernoulli_convolution (the default) is the convolution tree; "
+        f"stirling is the exact-integer oracle for n <= {bruteforce.STIRLING_CAP}",
+    )
 
     sp = sub.add_parser("moments", help="means, variances, standardization")
     common(sp, _run_moments)

@@ -26,12 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .special import (
-    STIRLING_CAP,
-    harmonic_number,
-    log_rising_factorial,
-    stirling_first_row,
-)
+from .special import harmonic_number
 
 _MASS_TOL = 1e-9
 
@@ -259,78 +254,68 @@ def failure_probs(n: int, theta: float) -> np.ndarray:
     return i / (theta + i)
 
 
-_LEAF = 64  # Bernoulli factors per leaf of `_kn_tree`
-
-
+# maxsize=1, read-only: `tv` reads the law of K_n and of n - K_n at one
+# (n, theta), and a new (n, theta) replaces the cached array (up to 8 MB).
+@lru_cache(maxsize=1)
 def _kn_tree(n: int, theta: float) -> np.ndarray:
     """P(K_n = k), k = 1..n, as a pairwise convolution tree over the Bernoulli(p_j).
 
-    The leaves are the laws of 64 consecutive factors j = 2..n, all built
-    at once, one numpy step per position over a (leaves x 65) array; the
-    last leaf is padded with p = 0, q = 1. Neighbouring laws are then
-    convolved in pairs up a binary tree (Biscarri, Zhao & Brunner 2018).
-    Every term is positive and q_j keeps its full relative precision, so
-    each entry keeps its relative accuracy. The law is log-concave, so only
-    a node's ends underflow to 0.0; dropping them makes each convolution
-    cost its window of representable entries.
+    The leaves are the laws of `leaf` consecutive factors j = 2..n, all
+    built at once, one numpy step per position over a (leaf+1 x leaves)
+    array; the last leaf is padded with p = 0, q = 1. The leaf grows with n,
+    from 4 factors below n = 32 to 64 from n = 2048 on, so a small law does
+    not pay a long leaf loop. Neighbouring laws are then convolved in pairs
+    up a binary tree (Biscarri, Zhao & Brunner 2018). Every term is positive
+    and q_j keeps its full relative precision, so each entry keeps its
+    relative accuracy. The law is log-concave, so only a node's ends
+    underflow to 0.0; dropping them makes each convolution cost its window
+    of representable entries.
     """
-    leaves = max(1, -(-(n - 1) // _LEAF))
-    pad = leaves * _LEAF - (n - 1)
-    p = np.concatenate([success_probs(n, theta)[1:], np.zeros(pad)]).reshape(leaves, _LEAF)
-    q = np.concatenate([failure_probs(n, theta)[1:], np.ones(pad)]).reshape(leaves, _LEAF)
-    law = np.zeros((leaves, _LEAF + 1))  # law[b, s] = P(s successes in leaf b)
-    law[:, 0] = 1.0
-    for t in range(_LEAF):
-        shifted = law[:, : t + 1] * p[:, t : t + 1]
-        law[:, : t + 1] *= q[:, t : t + 1]
-        law[:, 1 : t + 2] += shifted
+    leaf = min(64, max(4, 1 << (n.bit_length() // 2)))
+    leaves = max(1, -(-(n - 1) // leaf))
+    pad = leaves * leaf - (n - 1)
+    # position-major: step t reads one contiguous row of p and q for all leaves
+    p = np.concatenate([success_probs(n, theta)[1:], np.zeros(pad)])
+    p = p.reshape(leaves, leaf).T.copy()
+    q = np.concatenate([failure_probs(n, theta)[1:], np.ones(pad)])
+    q = q.reshape(leaves, leaf).T.copy()
+    law = np.zeros((leaf + 1, leaves))  # law[s, b] = P(s successes in leaf b)
+    law[0] = 1.0
+    for t in range(leaf):
+        shifted = law[: t + 1] * p[t]
+        law[: t + 1] *= q[t]
+        law[1 : t + 2] += shifted
     del p, q, shifted
     # a node is (its least success count, its law from there, nonzero at both ends)
     nonzero = law != 0.0
-    lo = nonzero.argmax(axis=1).tolist()
-    hi = (_LEAF + 1 - nonzero[:, ::-1].argmax(axis=1)).tolist()
-    nodes = [(a, row[a:b]) for a, b, row in zip(lo, hi, law)]
+    lo = nonzero.argmax(axis=0).tolist()
+    hi = (leaf + 1 - nonzero[::-1].argmax(axis=0)).tolist()
+    nodes = [(a, col[a:b]) for a, b, col in zip(lo, hi, law.T)]
     while len(nodes) > 1:
         paired = []
         for (off_a, a), (off_b, b) in zip(nodes[::2], nodes[1::2]):
             c = np.convolve(a, b)
-            kept = np.flatnonzero(c)
-            paired.append((off_a + off_b + int(kept[0]), c[kept[0] : kept[-1] + 1]))
+            if c[0] == 0.0 or c[-1] == 0.0:  # an end underflowed
+                kept = np.flatnonzero(c)
+                off_a += int(kept[0])
+                c = c[kept[0] : kept[-1] + 1]
+            paired.append((off_a + off_b, c))
         nodes = paired + nodes[2 * len(paired) :]
     out = np.zeros(n)  # out[k - 1] = P(K_n = k) = P(k - 1 successes)
     off, probs = nodes[0]
     out[off : off + probs.size] = probs
+    out.setflags(write=False)
     return out
 
 
-def kn_pmf(params: EsfParams, method: str | None = None) -> Pmf:
-    """Law of the number of blocks K_n on {1..n}.
+def kn_pmf(params: EsfParams) -> Pmf:
+    """Law of the number of blocks K_n on {1..n}, by the tree `_kn_tree`.
 
-    method="stirling" uses P(K_n = k) = s(n,k) theta^k / (theta)_n with the
-    exact integer Stirling table (n <= STIRLING_CAP); "bernoulli_convolution"
-    runs the pairwise tree `_kn_tree` and works for any n. The default None
-    takes the Stirling route up to STIRLING_CAP, where its table is built
-    once per n and each law then costs well under a millisecond, and the
-    tree above it. Either way the law covers all of 1..n with tail_mass
-    0.0; entries below the smallest double are 0.0.
+    The law covers all of 1..n with tail_mass 0.0; entries below the
+    smallest double are 0.0. `bruteforce.kn_stirling_pmf` is its exact-integer
+    oracle for n <= 500.
     """
-    n, theta = params.n, params.theta
-    if method is None:
-        method = "stirling" if n <= STIRLING_CAP else "bernoulli_convolution"
-    if method == "stirling":
-        if n > STIRLING_CAP:
-            raise ValueError(
-                f"stirling method limited to n <= {STIRLING_CAP}; "
-                "use method='bernoulli_convolution'"
-            )
-        row = stirling_first_row(n)
-        lrf = log_rising_factorial(theta, n)
-        lt = math.log(theta)
-        logp = np.array([math.log(row[k]) + k * lt - lrf for k in range(1, n + 1)])
-        return Pmf(1, np.exp(logp), 0.0)
-    if method == "bernoulli_convolution":
-        return Pmf(1, _kn_tree(n, theta), 0.0)
-    raise ValueError(f"unknown method {method!r}")
+    return Pmf(1, _kn_tree(params.n, params.theta), 0.0)
 
 
 def kn_mean_var(params: EsfParams) -> tuple[float, float]:

@@ -162,9 +162,7 @@ def test_criterion_4_growth_regime_laws():
 
     params_c3 = EsfParams(100, regimes.GrowthRule(10.0, 3.0).theta_at(100))
     root = RngState(124)
-    hits = sum(
-        1 for i in range(10**4) if sampling.sample_kn(params_c3, root.substream(i)) == 100
-    )
+    hits = sum(1 for gen in root.generators(10**4) if sampling.sample_kn(params_c3, gen) == 100)
     frac_c3 = hits / 10**4
 
     elapsed = time.monotonic() - t0
@@ -189,8 +187,8 @@ def test_criterion_5_threshold_window_structure():
     root = RngState(125)
     c2_counts = np.zeros(m, dtype=np.int64)
     heavy_tail = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        drawn = sampling.sample_feller(params, root.substream(i), b_max=0)
+    for i, gen in enumerate(root.generators(m)):
+        drawn = sampling.sample_feller(params, gen, b_max=0)
         c2_counts[i] = drawn.c_n.counts[1]
         heavy_tail[i] = int(drawn.c_n.counts[2:].sum())
 

@@ -2,15 +2,23 @@
 
 The oracle is itself checked against exact rational arithmetic and a frozen
 hand computation of the prefix distance at n = 2, where every quantity can
-be written down in closed form.
+be written down in closed form. Stirling rows are checked by brute-force
+cycle counting over permutations.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from ewens.bruteforce import db_bruteforce, enumerate_esf, joint_prefix_law
+from ewens.bruteforce import (
+    STIRLING_CAP,
+    db_bruteforce,
+    enumerate_esf,
+    joint_prefix_law,
+    stirling_first_row,
+)
 from ewens.laws import EsfParams, Partition, esf_pmf, partitions_of, tlm_pmf
 
 
@@ -120,3 +128,48 @@ class TestTlmAgainstEnumeration:
             h3 = Fraction(11, 6)
             expected = float(acc) * math.exp(-theta * float(h3))
             assert math.isclose(pmf.prob(v), expected, rel_tol=1e-12)
+
+
+def cycle_count_table(n):
+    """Number of permutations of n with k cycles, by exhaustive enumeration."""
+    table = [0] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        seen = [False] * n
+        cycles = 0
+        for start in range(n):
+            if seen[start]:
+                continue
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+        table[cycles] += 1
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_stirling_row_matches_permutation_count(n):
+    table = cycle_count_table(n)
+    row = stirling_first_row(n)
+    assert len(row) == n + 1
+    assert row[0] == 0
+    for k in range(1, n + 1):
+        assert row[k] == table[k]
+
+
+@pytest.mark.parametrize("n", [1, 5, 20, 90])
+def test_stirling_row_identities(n):
+    row = stirling_first_row(n)
+    assert sum(row) == math.factorial(n)
+    assert row[1] == math.factorial(n - 1)
+    assert row[n] == 1
+    if n >= 2:
+        assert row[n - 1] == n * (n - 1) // 2
+
+
+def test_stirling_rejects_bad_input():
+    with pytest.raises(ValueError):
+        stirling_first_row(-1)
+    with pytest.raises(ValueError):
+        stirling_first_row(STIRLING_CAP + 1)

@@ -335,6 +335,7 @@ class TestExitCodes:
             ("sample --sampler feller --n 10 --theta 1e200 --b-max 1", "tail_bound="),
             ("pmf --n 5 --theta 2 --dist esf --method stirling", "--method"),
             ("pmf --n 5 --theta 2 --dist singleton --method bernoulli_convolution", "--method"),
+            ("pmf --n 600 --theta 2 --dist kn --method stirling", "use --method bernoulli_convolution"),
             ("leading-term --theta 1e5 --b 1500 --n-grid 2000", "theta=100000, b=1500"),
             ("bounds --n 10 --theta 2 --b 5 --w 1e8", "theta=2, b=5"),
             ("regime --coeff 1 --exponent 1 --mc 1000", "--n"),

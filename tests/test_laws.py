@@ -2,9 +2,9 @@
 
 Reference values are derived independently of the implementation: partition
 probabilities from the defining product formula with exact rationals, the
-block-count law from both the Stirling and the convolution-tree routes, from
-a sequential Bernoulli convolution and from the exact Stirling integers in
-60-digit mpmath, the weighted-sum
+block-count law (one route, the convolution tree) from the double-precision
+Stirling-integer oracle, from a sequential Bernoulli convolution and from
+the exact Stirling integers in 60-digit mpmath, the weighted-sum
 law from direct convolution of Poisson atoms and from a log-space dynamic
 program, and the singleton law from its alternating series in exact
 rationals.
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewens.laws
-from ewens.bruteforce import tilted_conditioning_check
+from ewens.bruteforce import kn_stirling_pmf, stirling_first_row, tilted_conditioning_check
 from ewens.laws import (
     _tlm_log,
     EsfParams,
@@ -43,7 +43,6 @@ from ewens.laws import (
     success_probs,
     tlm_pmf,
 )
-from ewens.special import stirling_first_row
 
 
 def esf_fraction(n, theta, counts):
@@ -147,8 +146,8 @@ class TestKnPmf:
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 10.0])
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
     def test_stirling_and_bernoulli_routes_agree(self, n, theta):
-        a = kn_pmf(EsfParams(n, theta), method="stirling")
-        b = kn_pmf(EsfParams(n, theta), method="bernoulli_convolution")
+        a = kn_stirling_pmf(EsfParams(n, theta))
+        b = kn_pmf(EsfParams(n, theta))
         assert np.array_equal(a.support(), b.support())
         np.testing.assert_allclose(a.probs, b.probs, rtol=1e-11, atol=1e-15)
 
@@ -165,21 +164,30 @@ class TestKnPmf:
         pmf = kn_pmf(EsfParams(100, 3.0))
         assert math.isclose(float(pmf.probs.sum()), 1.0, rel_tol=1e-12)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            kn_pmf(EsfParams(5, 1.0), method="magic")
+    def test_repeat_call_shares_no_array(self):
+        # the last law is cached; each Pmf must still own its probabilities
+        first = kn_pmf(EsfParams(40, 2.5))
+        first.probs[:] = 0.0
+        again = kn_pmf(EsfParams(40, 2.5))
+        assert again.probs is not first.probs
+        assert math.isclose(math.fsum(again.probs), 1.0, rel_tol=1e-12)
 
     def test_default_route_beyond_stirling_cap(self):
         pmf = kn_pmf(EsfParams(1000, 2.0))
         assert math.isclose(pmf.mean(), kn_mean_var(EsfParams(1000, 2.0))[0], rel_tol=1e-12)
 
     @pytest.mark.parametrize(
-        "n, theta", [(120, 1e8), (200, 1e9), (300, 2.0), (500, 1e-9), (500, 1e4)]
+        "n, theta",
+        [(120, 1e8), (200, 1e9), (300, 2.0), (500, 1e-9), (500, 1e4), (500, 1e9), (500, 1e15)],
     )
     def test_convolution_matches_mpmath_oracle(self, n, theta):
         # truth s(n,k) theta^k / (theta)_n from the exact Stirling integers at
-        # 60 digits; every entry >= 1e-300 holds to 1e-12 relative
-        got = kn_pmf(EsfParams(n, theta), method="bernoulli_convolution")
+        # 60 digits; every entry >= 1e-300 holds to 2e-14 relative, where the
+        # double-precision Stirling route cancels to about 4e-12 at large
+        # theta. The worst point is (500, 1e-9), at 1.5e-14: theta + j - 1
+        # rounds the same way for every j in a binade, so the errors of the
+        # p_j and q_j add up instead of averaging out.
+        got = kn_pmf(EsfParams(n, theta))
         assert got.offset == 1 and got.probs.size == n and got.tail_mass == 0.0
         row = stirling_first_row(n)
         with mpmath.workdps(60):
@@ -189,7 +197,7 @@ class TestKnPmf:
                 truth = row[k] * th**k / rising
                 g = got.probs[k - 1]
                 if truth >= 1e-300:
-                    assert abs(g - truth) <= 1e-12 * truth, (k, g, float(truth))
+                    assert abs(g - truth) <= 2e-14 * truth, (k, g, float(truth))
                 else:
                     assert g <= 1e-300, (k, g, float(truth))
 
@@ -209,8 +217,8 @@ class TestKnPmf:
     @given(n=st.integers(1, 500), theta=st.floats(-9.0, 9.0).map(lambda e: 10.0**e))
     def test_routes_and_mean_over_log_uniform_theta(self, n, theta):
         params = EsfParams(n, theta)
-        a = kn_pmf(params, method="stirling")
-        b = kn_pmf(params, method="bernoulli_convolution")
+        a = kn_stirling_pmf(params)
+        b = kn_pmf(params)
         assert abs(math.fsum(a.probs) - 1.0) <= 1e-9
         assert abs(math.fsum(b.probs) - 1.0) <= 1e-9
         assert float(np.abs(a.probs - b.probs).max()) <= 1e-11
@@ -247,13 +255,21 @@ def kn_sequential(n, theta):
 
 
 class TestKnTree:
-    """The default route above STIRLING_CAP: a pairwise tree of 64-factor leaves."""
+    """The only K_n route: a pairwise tree whose leaves grow from 4 to 64 factors with n.
 
-    @pytest.mark.parametrize("n", [1, 2, 64, 65, 66, 129, 700])
+    The leaf edges take both sides of every leaf-size switch (31/32,
+    127/128, 511/512, 2047/2048) and the n whose n - 1 factors fill
+    their leaves exactly (17, 33, 129, 513, 2049).
+    """
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 17, 31, 32, 33, 64, 65, 66, 127, 128, 129, 511, 512, 513, 700, 2047, 2048, 2049],
+    )
     @pytest.mark.parametrize("theta", [1e-9, 2.0, 1e9])
     def test_matches_sequential_at_leaf_edges(self, n, theta):
         want = kn_sequential(n, theta)
-        got = kn_pmf(EsfParams(n, theta), method="bernoulli_convolution")
+        got = kn_pmf(EsfParams(n, theta))
         assert got.offset == 1 and got.probs.size == n and got.tail_mass == 0.0
         big = want >= 1e-300
         np.testing.assert_allclose(got.probs[big], want[big], rtol=1e-12, atol=0.0)
@@ -285,6 +301,7 @@ class TestKnTree:
 
     def test_peak_memory_at_n_1e6(self):
         success_probs.cache_clear()
+        ewens.laws._kn_tree.cache_clear()
         tracemalloc.start()
         try:
             kn_pmf(EsfParams(10**6, 1e3))

@@ -335,7 +335,8 @@ def _run_fclt(ns: argparse.Namespace) -> int:
         reference = "gaussian_simulation"
     meta = {"seed": seed, "n": p.n, "theta": p.theta, "which": which, "stat": stat}
     _table(ns, ["value"], [[float(v)] for v in sample.values], meta)
-    summary = dict(meta, eps=ns.eps, m=ns.m, reference=reference, ks=ks, ks_tol=ns.ks_tol)
+    summary = dict(meta, eps=ns.eps, m=ns.m, dense_window=sampling._dense_window(p.theta, p.n),
+                   reference=reference, ks=ks, ks_tol=ns.ks_tol)
     summary["pass"] = bool(ks < ns.ks_tol)
     (sys.stderr if ns.out is None else sys.stdout).write(_json_text(summary))
     return 0

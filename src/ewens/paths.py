@@ -14,7 +14,9 @@ one grow-only table of max n entries, built once.
 Cost model: `_stats` computes every functional for many paths at once,
 laid out back to back, and `functional_stat` is `_stats` on one path.
 `mc_functionals` keeps only each replicate's Feller success positions,
-so a replicate costs its n uniforms plus O(K_n) vectorised work, and one
+bit-identical to `sampling._feller_positions` per substream, so a
+replicate costs the min(n, 200 theta) uniforms of its dense window, a
+Beta-Geometric step per success past it, and O(K_n) vectorised work; one
 `_stats` call serves a block of `_KEY_BLOCK` replicates.
 """
 
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .laws import EsfParams, Partition
-from .sampling import _KEY_BLOCK, RngState, _successes
+from .sampling import _KEY_BLOCK, RngState, _feller_positions
 
 _PROCESSES = ("X1", "X2", "X3", "X4", "X5")
 DEFAULT_EPS = 0.01
@@ -365,12 +367,15 @@ def mc_functionals(
     """Sampled functional values over independent partition draws.
 
     Replicate i draws its Feller successes in 1..n from substream i
-    (through `RngState.generators` and `_successes`), bit-identical to
-    `functional_stat` on `build_path(sample_feller(params, substream(i)).c_n)`.
+    (through `RngState.generators`), bit-identical to
+    `_feller_positions(substream(i).generator(), theta, n)`; its value is
+    `functional_stat` on the path of those positions' blocks. Where
+    200 theta >= n that is the draw of `sample_feller(params, substream(i))`.
     Only the success positions are kept; each block of `_KEY_BLOCK`
     replicates is then grouped and reduced by one `_stats` call. Per
-    replicate that is n uniforms plus O(K_n) vectorised work, and memory
-    is O(_KEY_BLOCK K_n) besides the replicates' values.
+    replicate that is min(n, 200 theta) uniforms, about
+    theta ln(n/(200 theta)) Beta-Geometric steps and O(K_n) vectorised
+    work, and memory is O(_KEY_BLOCK K_n) besides the replicates' values.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
@@ -384,10 +389,7 @@ def mc_functionals(
     gens = rng.generators(replicates)
     for lo in range(0, replicates, _KEY_BLOCK):
         # draw from each generator before the iterator re-keys it
-        hits = [
-            _successes(gen, theta, n, n)[0].nonzero()[0]
-            for gen in itertools.islice(gens, _KEY_BLOCK)
-        ]
+        hits = [_feller_positions(gen, theta, n) for gen in itertools.islice(gens, _KEY_BLOCK)]
         block = _stats(n, theta, which, eps, *_feller_blocks(n, hits))
         values[lo : lo + len(hits)] = block[idx]
     return FunctionalSample(which, stat_kind, values)

@@ -11,7 +11,7 @@ A loop whose replicates read exactly one uniform each needs no
 per-replicate key: `regimes.zn_mc_distribution` reads double i of one
 `generator()` stream for replicate i, which keeps both determinism rules.
 Loops of at least 100 replicates that read a variable number of uniforms,
-or must match `sample_feller(substream(i))` bit for bit
+or must match a single-draw call on `substream(i)` bit for bit
 (`paths.mc_functionals`, `distances.dbw_mc`), use
 `RngState.generators(count)` instead. It yields generators whose draws
 are bit-identical to those of `substream(i).generator()` for
@@ -25,9 +25,14 @@ and `sample_crp` take either an `RngState` or such a generator.
 Cost per draw: `sample_feller` and `sample_kn` read C^n, C^inf and K_n off
 one `_successes` pass, one uniform per position 1..n in one vectorised call
 and one step per success past n for the extension. `paths.mc_functionals`
-calls `_successes` directly and keeps only the success positions, so its
-replicates pay the n uniforms plus O(K_n) vectorised work, with no
-`Partition` per draw.
+keeps only the success positions, from `_feller_positions`: one uniform per
+position of the dense window 1..J, J = min(n, ceil(200 theta)), then one
+Beta-Geometric step (about 3 us) per success in J+1..n, about
+theta ln(n/J) of them, plus the one that passes n. That is
+O(J + theta ln(n/J)) per draw with no `Partition` and no length-n array:
+at (n, theta) = (1e4, 2), 400 uniforms and about 7 steps in place of 1e4
+uniforms. Where 200 theta >= n the window is 1..n and the draw is the
+dense one, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,6 +52,11 @@ DEFAULT_SEED = 424242
 
 _MASK64 = (1 << 64) - 1
 _KEY_BLOCK = 4096  # indices hashed and keyed per vectorised pass of `generators`
+# dense positions per unit of theta before `_feller_positions` steps: the
+# measured crossover of one Beta-Geometric step (a `gen.beta` and a scalar
+# uniform, about 3 us on a 2-vCPU VM) against dense positions; 100-400 per
+# theta timed the same, 50 and 800 slower
+_DENSE_PER_THETA = 200
 
 
 def seed_from_env(default: int = DEFAULT_SEED) -> int:
@@ -224,21 +234,47 @@ def sample_feller(
     return FellerSample(part, c_inf, b_max * theta * theta / (theta + horizon - 1.0))
 
 
-def _successes(gen: np.random.Generator, theta: float, n: int, reach: int) -> tuple[np.ndarray, list[int]]:
+def _successes(
+    gen: np.random.Generator, theta: float, window_end: int, reach: int
+) -> tuple[np.ndarray, list[int]]:
     """Successes of xi_j ~ Bernoulli(p_j), p_j = theta/(theta+j-1), j >= 1.
 
-    Returns the mask xi_1..xi_n, one uniform per position, and the positions
-    of the successes past n through the first at or past `reach`. Each is one
-    Geometric(W) step, W ~ Beta(theta, t), from the last position t, success
-    or not: P(no success in t+1..t+s) = (t)_s/(theta+t)_s = E[(1-W)^s].
+    Returns the mask xi_1..xi_J of the dense window J = `window_end`, one
+    uniform per position, and the positions of the successes past J through
+    the first at or past `reach`. Each is one Geometric(W) step,
+    W ~ Beta(theta, t), from the last position t, success or not:
+    P(no success in t+1..t+s) = (t)_s/(theta+t)_s = E[(1-W)^s].
     """
-    window = gen.random(n) < success_probs(n, theta)
-    t = n
+    window = gen.random(window_end) < success_probs(window_end, theta)
+    t = window_end
     later = []
     while t < reach:
         t += _geometric(gen, gen.beta(theta, t))
         later.append(t)
     return window, later
+
+
+def _dense_window(theta: float, n: int) -> int:
+    """J = min(n, ceil(_DENSE_PER_THETA theta)), the dense window of `_feller_positions`."""
+    reach = _DENSE_PER_THETA * theta
+    return n if reach >= n else math.ceil(reach)
+
+
+def _feller_positions(gen: np.random.Generator, theta: float, n: int) -> np.ndarray:
+    """The successes in 1..n of the Feller coupling, less one, increasing.
+
+    One `_successes` pass: the dense window 1..J, J = `_dense_window`, then
+    the Beta-Geometric steps from t = J that land at or before n (the last
+    step is kept only if it lands on n). Past J the draw is exact, since a
+    step's law does not depend on whether t is a success. Where J = n no
+    step is taken, and the positions are those of the mask
+    `_successes(gen, theta, n, n)` on the same generator, bit for bit.
+    """
+    window, later = _successes(gen, theta, _dense_window(theta, n), n)
+    pos = window.nonzero()[0]
+    if later and later[-1] > n:
+        later.pop()
+    return np.concatenate((pos, np.subtract(later, 1))) if later else pos
 
 
 def _geometric(gen: np.random.Generator, w: float) -> int:

@@ -38,7 +38,7 @@ from ewens.paths import (
     process_value,
     reference_functionals,
 )
-from ewens.sampling import RngState, sample_feller
+from ewens.sampling import RngState, _feller_positions, sample_feller
 
 # (n, counts, theta) -> {process: (sup, l2)}; values from exact symbolic
 # integration of the step-function definitions at eps = 0.01.
@@ -106,16 +106,29 @@ HAND_WORKED = [
 ]
 
 
-# (n, theta, eps) draws at the edges of the batched kernel
+# (n, theta, eps) draws at the edges of the batched kernel and of the
+# dense window 1..min(n, 200 theta)
 EDGE_DRAWS = [(300, 2.0, DEFAULT_EPS), (2, 1.0, DEFAULT_EPS), (50, 1e6, DEFAULT_EPS),
-              (1000, 0.05, DEFAULT_EPS), (1000, 2.0, 3.0), (200, 5.0, 50.0)]
+              (1000, 0.05, DEFAULT_EPS), (1000, 2.0, 3.0), (200, 5.0, 50.0),
+              (10**4, 2.0, DEFAULT_EPS), (1000, 0.01, DEFAULT_EPS)]
 
 
 @functools.cache
 def loop_paths(n, theta):
-    """The paths of replicates 0..999 of RngState(44), one substream each."""
+    """The paths of replicates 0..999 of RngState(44), dense `sample_feller` on each substream."""
     rng = RngState(44)
     return [build_path(sample_feller(EsfParams(n, theta), rng.substream(i)).c_n) for i in range(1000)]
+
+
+@functools.cache
+def stepped_paths(n, theta):
+    """The paths of replicates 0..999 of RngState(44), `_feller_positions` on each substream."""
+    rng = RngState(44)
+    out = []
+    for i in range(1000):
+        pos = _feller_positions(rng.substream(i).generator(), theta, n) + 1
+        out.append(build_path(Partition.from_blocks(np.diff(pos, append=n + 1))))
+    return out
 
 
 def dense_x2(path, theta):
@@ -429,6 +442,17 @@ class TestFunctionalSampleContainer:
             FunctionalSample("X1", "median", np.array([1.0]))
 
 
+def _mc_peak(params):
+    """Traced peak bytes of mc_functionals(params, X4 sup, m = 1000), its caches warm."""
+    mc_functionals(params, "X4", "sup", DEFAULT_EPS, 1000, RngState(3))  # caches p_j
+    tracemalloc.start()
+    try:
+        mc_functionals(params, "X4", "sup", DEFAULT_EPS, 1000, RngState(4))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMcFunctionals:
     def test_deterministic_and_prefix(self):
         params = EsfParams(500, 1.0)
@@ -442,15 +466,16 @@ class TestMcFunctionals:
         "which,stat_kind", [(w, k) for w in ("X1", "X2", "X3", "X4", "X5") for k in ("sup", "l2")]
     )
     def test_matches_a_loop_over_substreams(self, which, stat_kind):
-        # the reference loop: replicate i draws from substream i. The edge
-        # draws: n = 2; only singletons at theta = 1e6 (999 of 1000 paths);
-        # a single cycle at theta = 0.05 (689 of 1000); X3/X5 windows cutting
-        # the first intervals (eps = 3 at n = 1000 cuts u below 0.43) or
-        # every interval (eps = 50)
+        # the reference loop: replicate i draws `_feller_positions` from
+        # substream i. The edge draws: n = 2; only singletons at theta = 1e6
+        # (999 of 1000 paths); a single cycle at theta = 0.05 (689 of 1000);
+        # X3/X5 windows cutting the first intervals (eps = 3 at n = 1000 cuts
+        # u below 0.43) or every interval (eps = 50); Beta-Geometric steps
+        # past a window of 400 at n = 1e4 and of 2 at theta = 0.01
         idx = 0 if stat_kind == "sup" else 1
         for n, theta, eps in EDGE_DRAWS:
             params, rng = EsfParams(n, theta), RngState(44)
-            ref = [functional_stat(path, theta, which, eps)[idx] for path in loop_paths(n, theta)]
+            ref = [functional_stat(path, theta, which, eps)[idx] for path in stepped_paths(n, theta)]
             got = mc_functionals(params, which, stat_kind, eps, 1000, rng)
             assert np.array_equal(got.values, ref), (n, theta, eps)
 
@@ -480,19 +505,23 @@ class TestMcFunctionals:
         assert calls == [1000, 300, 300, 300, 100]
         assert np.array_equal(blocked.values, whole.values)
 
+    @pytest.mark.parametrize("n,theta", [(n, theta) for n, theta, _ in EDGE_DRAWS if 200 * theta >= n])
+    def test_draws_the_dense_sampler_where_the_window_covers_n(self, n, theta):
+        # with no step to take, mc_functionals reads the uniforms of sample_feller
+        for stepped, dense in zip(stepped_paths(n, theta), loop_paths(n, theta), strict=True):
+            assert np.array_equal(stepped.sizes, dense.sizes)
+            assert np.array_equal(stepped.cum_counts, dense.cum_counts)
+
     def test_memory_stays_per_replicate(self):
-        # per replicate only the n uniforms and the success mask are live at
-        # once, then the block's O(m K) kernel arrays: 2.5 MB measured, where
-        # one m x n boolean array would be 100 MB at m = 1000, n = 1e5
-        params = EsfParams(10**5, 2.0)
-        mc_functionals(params, "X4", "sup", DEFAULT_EPS, 1000, RngState(3))  # caches p_j
-        tracemalloc.start()
-        try:
-            mc_functionals(params, "X4", "sup", DEFAULT_EPS, 1000, RngState(4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        # per replicate only the 400 uniforms of the dense window, its mask
+        # and the O(K) stepped positions are live at once, then the block's
+        # O(m K) kernel arrays: 2.2 MiB measured, where one m x n boolean
+        # array would be 100 MB at m = 1000, n = 1e5
+        assert _mc_peak(EsfParams(10**5, 2.0)) < 4 * 2**20
+
+    def test_memory_stays_below_the_window_at_n_1e6(self):
+        # 2.7 MiB measured; a dense draw holds n = 1e6 uniforms, 8 MB, at once
+        assert _mc_peak(EsfParams(10**6, 2.0)) < 4 * 2**20
 
     def test_meta_records_configuration(self):
         params = EsfParams(500, 1.0)

@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 
 from ewens.bruteforce import enumerate_esf
-from ewens.laws import EsfParams, Partition, kn_pmf, success_probs
+from ewens.laws import EsfParams, Partition, kn_pmf, singleton_pmf, success_probs
 from ewens.sampling import (
     DEFAULT_SEED,
     FellerSample,
     RngState,
+    _dense_window,
+    _feller_positions,
     _geometric,
     _philox_keys,
+    _successes,
     sample_crp,
     sample_feller,
     sample_kn,
@@ -264,6 +267,71 @@ class TestFellerSampler:
             sample_feller(EsfParams(10, 1e200), RngState(1), b_max=1)
         with pytest.raises(ValueError, match="2\\^62"):
             sample_feller(EsfParams(10, 1e9), RngState(1), b_max=10, tail_bound=1e-3)
+
+
+class _ScriptedGenerator:
+    """A generator stub: `random(size)` returns the window's uniforms, `random()`
+    the next step uniform, and `beta` a fixed w, recording its arguments."""
+
+    def __init__(self, window, steps, w):
+        self.window, self.steps, self.w, self.betas = np.array(window), list(steps), w, []
+
+    def random(self, size=None):
+        return self.steps.pop(0) if size is None else self.window[:size]
+
+    def beta(self, a, b):
+        self.betas.append((a, b))
+        return self.w
+
+
+def _empirical_tv(values, pmf):
+    counts = np.bincount(values, minlength=pmf.offset + pmf.probs.size)
+    return 0.5 * float(np.abs(counts[pmf.offset :] / values.size - pmf.probs).sum())
+
+
+class TestFellerPositions:
+    @pytest.mark.parametrize(
+        "theta,n,window", [(2.0, 10**4, 400), (0.01, 1000, 2), (1e-9, 50, 1), (2.5, 500, 500), (1e307, 10, 10)]
+    )
+    def test_dense_window_is_200_theta_capped_at_n(self, theta, n, window):
+        assert _dense_window(theta, n) == window
+
+    @pytest.mark.parametrize("n,theta", [(400, 2.0), (500, 2.5), (300, 2.0), (50, 1e6), (1000, 5.0), (2, 1.0)])
+    def test_bit_identical_to_the_dense_mask_where_the_window_covers_n(self, n, theta):
+        # 200 theta = n for the first two, above n for the rest
+        root = RngState(61)
+        for i in range(40):
+            got = _feller_positions(root.substream(i).generator(), theta, n)
+            want = _successes(root.substream(i).generator(), theta, n, n)[0].nonzero()[0]
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,theta,tol", [(500, 0.5, 0.02), (1000, 0.01, 0.008), (1000, 0.1, 0.015),
+                                             (10**4, 2.0, 0.025)])
+    def test_block_count_law_matches_kn_pmf(self, n, theta, tol):
+        # 2e4 draws; the seed's TV is 0.0067, 0.0014, 0.0020 and 0.0117, where
+        # multinomial draws from the exact law reach 0.014, 0.005, 0.010 and
+        # 0.017 at their 99th percentile
+        k = np.array([_feller_positions(gen, theta, n).size for gen in RngState(31).generators(20000)])
+        assert _empirical_tv(k, kn_pmf(EsfParams(n, theta))) < tol
+
+    def test_singleton_law_matches_singleton_pmf(self):
+        # the seed's TV is 0.0050; exact multinomial draws reach 0.012 at the 99th percentile
+        n, theta = 1000, 2.0
+        c1 = np.array([
+            np.count_nonzero(np.diff(_feller_positions(gen, theta, n), append=n) == 1)
+            for gen in RngState(32).generators(20000)
+        ])
+        assert _empirical_tv(c1, singleton_pmf(EsfParams(n, theta))) < 0.02
+
+    # n = 10, theta = 0.01: the window is 1..2, whose uniforms make position 1
+    # the only success there; with w = 1/2, u = 2^-2.5 steps 3 (from 2 to 5)
+    @pytest.mark.parametrize("last_u,want", [(2.0**-4.5, [0, 4, 9]), (2.0**-5.5, [0, 4])],
+                             ids=["lands_on_n", "passes_n"])
+    def test_last_step_is_kept_only_on_n(self, last_u, want):
+        gen = _ScriptedGenerator([0.5, 0.99], [2.0**-2.5, last_u], 0.5)
+        assert _feller_positions(gen, 0.01, 10).tolist() == want
+        # each step draws Beta(theta, t) at the position it leaves, success or not
+        assert gen.betas == [(0.01, 2), (0.01, 5)] and not gen.steps
 
 
 class TestCrpSampler:

@@ -13,16 +13,15 @@ one grow-only table of max n entries, built once.
 
 Cost model: `_stats` computes every functional for many paths at once,
 laid out back to back, and `functional_stat` is `_stats` on one path.
-`mc_functionals` keeps only each replicate's Feller success positions,
-bit-identical to `sampling._feller_positions` per substream, so a
-replicate costs the min(n, 200 theta) uniforms of its dense window, a
-Beta-Geometric step per success past it, and O(K_n) vectorised work; one
-`_stats` call serves a block of `_KEY_BLOCK` replicates.
+`mc_functionals` keeps only the Feller success cells of a block of
+`_KEY_BLOCK` replicates, drawn by `sampling._FellerHits` in a few numpy
+calls, so a replicate costs the min(n, ceil(16 theta)) uniforms of its
+dense window, two uniforms per thinned Poisson point past it, and O(K_n)
+vectorised work; one `_stats` call serves the block.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .laws import EsfParams, Partition
-from .sampling import _KEY_BLOCK, RngState, _feller_positions
+from .sampling import _KEY_BLOCK, RngState, _FellerHits
 
 _PROCESSES = ("X1", "X2", "X3", "X4", "X5")
 DEFAULT_EPS = 0.01
@@ -312,28 +311,31 @@ def functional_stat(
     return float(sup[0]), float(l2[0])
 
 
-def _feller_blocks(n: int, hits: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(starts, sizes, cum) of `_stats` for Feller draws given as success indices.
+def _feller_blocks(
+    n: int, count: int, rep: np.ndarray, pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, sizes, cum) of `_stats` for `count` Feller draws given as success cells.
 
-    hits[r] holds replicate r's successes in 1..n, less one, increasing; its
-    blocks are the gaps between them, n + 1 - t_last closing them. All
-    replicates' (replicate, size) keys are grouped in one sort.
+    (rep[k], pos[k]) are the successes in 1..n, less one, of replicates
+    0..count-1, sorted by replicate then position; a replicate's blocks are
+    the gaps between them, n + 1 - t_last closing them. All replicates'
+    (replicate, size) keys are grouped in one sort.
     """
-    ks = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-    pos = np.concatenate(hits)
     gaps = np.empty_like(pos)
-    gaps[:-1] = pos[1:]
-    gaps[np.cumsum(ks) - 1] = n
-    gaps -= pos
-    keys = np.sort(np.repeat(np.arange(len(hits)), ks) * (n + 1) + gaps)
-    new = np.flatnonzero(np.diff(keys, prepend=-1))
+    np.subtract(pos[1:], pos[:-1], out=gaps[:-1])
+    last = np.append(np.flatnonzero(rep[1:] != rep[:-1]), pos.size - 1)
+    gaps[last] = n - pos[last]
+    keys = rep * (n + 1)
+    keys += gaps
+    keys.sort()
+    new = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     mults = np.diff(new, append=keys.size)
     rep, sizes = np.divmod(keys[new], n + 1)
-    weight = np.bincount(rep, sizes * mults, minlength=len(hits))
+    weight = np.bincount(rep, sizes * mults, minlength=count)
     if np.any(weight != n):
         bad = int(np.flatnonzero(weight != n)[0])
         raise ValueError(f"blocks of replicate {bad} weigh {weight[bad]:.0f}, expected n = {n}")
-    starts = np.searchsorted(rep, np.arange(len(hits)))
+    starts = np.searchsorted(rep, np.arange(count))
     cum = np.cumsum(mults)
     cum -= np.repeat(cum[starts] - mults[starts], np.diff(starts, append=rep.size))
     return starts, sizes, cum
@@ -366,16 +368,14 @@ def mc_functionals(
 ) -> FunctionalSample:
     """Sampled functional values over independent partition draws.
 
-    Replicate i draws its Feller successes in 1..n from substream i
-    (through `RngState.generators`), bit-identical to
-    `_feller_positions(substream(i).generator(), theta, n)`; its value is
-    `functional_stat` on the path of those positions' blocks. Where
-    200 theta >= n that is the draw of `sample_feller(params, substream(i))`.
-    Only the success positions are kept; each block of `_KEY_BLOCK`
-    replicates is then grouped and reduced by one `_stats` call. Per
-    replicate that is min(n, 200 theta) uniforms, about
-    theta ln(n/(200 theta)) Beta-Geometric steps and O(K_n) vectorised
-    work, and memory is O(_KEY_BLOCK K_n) besides the replicates' values.
+    The replicates' Feller successes in 1..n come from
+    `sampling._FellerHits(rng, theta, n)`, a block of `_KEY_BLOCK`
+    replicates per `draw`; replicate i's value is `functional_stat` on the
+    path of its blocks. Each block is grouped and reduced by one `_stats`
+    call. Per replicate that is the min(n, ceil(16 theta)) uniforms of the
+    dense window, two per thinned Poisson point past it (about
+    theta log2(n/(16 theta)) points) and O(K_n) vectorised work, and memory
+    is O(_KEY_BLOCK K_n) besides the replicates' values.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
@@ -386,12 +386,10 @@ def mc_functionals(
     n, theta = params.n, params.theta
     _check_n(n)
     values = np.empty(replicates, dtype=np.float64)
-    gens = rng.generators(replicates)
+    hits = _FellerHits(rng, theta, n)
     for lo in range(0, replicates, _KEY_BLOCK):
-        # draw from each generator before the iterator re-keys it
-        hits = [_feller_positions(gen, theta, n) for gen in itertools.islice(gens, _KEY_BLOCK)]
-        block = _stats(n, theta, which, eps, *_feller_blocks(n, hits))
-        values[lo : lo + len(hits)] = block[idx]
+        count = min(_KEY_BLOCK, replicates - lo)
+        values[lo : lo + count] = _stats(n, theta, which, eps, *_feller_blocks(n, count, *hits.draw(count)))[idx]
     return FunctionalSample(which, stat_kind, values)
 
 

@@ -2,17 +2,16 @@
 
 Reproducibility model: an `RngState` is (seed, stream) feeding a
 counter-based Philox generator, so draws are bit-for-bit stable across
-platforms and any replicate can be regenerated in isolation via
-`substream(i)` without running the loop up to i.
+platforms, and a single-draw call on `substream(i)` regenerates replicate
+i in isolation without running the loop up to i.
 
 Set-up cost: `RngState.generator()` keys its Philox through numpy's
 `SeedSequence`, and one `substream(i).generator()` pair costs 24-34 us.
 A loop whose replicates read exactly one uniform each needs no
 per-replicate key: `regimes.zn_mc_distribution` reads double i of one
 `generator()` stream for replicate i, which keeps both determinism rules.
-Loops of at least 100 replicates that read a variable number of uniforms,
-or must match a single-draw call on `substream(i)` bit for bit
-(`paths.mc_functionals`, `distances.dbw_mc`), use
+Loops of at least 100 replicates that must match a single-draw call on
+`substream(i)` bit for bit (`distances.dbw_mc`) use
 `RngState.generators(count)` instead. It yields generators whose draws
 are bit-identical to those of `substream(i).generator()` for
 i = 0..count-1, at 3-5 us each plus a fixed 0.12 ms per loop, so it
@@ -25,14 +24,13 @@ and `sample_crp` take either an `RngState` or such a generator.
 Cost per draw: `sample_feller` and `sample_kn` read C^n, C^inf and K_n off
 one `_successes` pass, one uniform per position 1..n in one vectorised call
 and one step per success past n for the extension. `paths.mc_functionals`
-keeps only the success positions, from `_feller_positions`: one uniform per
-position of the dense window 1..J, J = min(n, ceil(200 theta)), then one
-Beta-Geometric step (about 3 us) per success in J+1..n, about
-theta ln(n/J) of them, plus the one that passes n. That is
-O(J + theta ln(n/J)) per draw with no `Partition` and no length-n array:
-at (n, theta) = (1e4, 2), 400 uniforms and about 7 steps in place of 1e4
-uniforms. Where 200 theta >= n the window is 1..n and the draw is the
-dense one, bit for bit.
+keeps only the success cells, drawn by `_FellerHits` for a whole block of
+replicates in a few numpy calls on three streams: one uniform per cell of
+the dense window 0..J-1, J = min(n, ceil(16 theta)), then about
+theta log2(n/J) Poisson points with two uniforms each, of which about
+theta ln(n/J) are kept. That is O(J + theta log(n/J)) per draw and no
+Python work per replicate: at (n, theta) = (1e4, 2), 32 uniforms, 9
+Poisson counts and about 16 points, 11.5 kept, in place of 1e4 uniforms.
 """
 
 from __future__ import annotations
@@ -52,11 +50,14 @@ DEFAULT_SEED = 424242
 
 _MASK64 = (1 << 64) - 1
 _KEY_BLOCK = 4096  # indices hashed and keyed per vectorised pass of `generators`
-# dense positions per unit of theta before `_feller_positions` steps: the
-# measured crossover of one Beta-Geometric step (a `gen.beta` and a scalar
-# uniform, about 3 us on a 2-vCPU VM) against dense positions; 100-400 per
-# theta timed the same, 50 and 800 slower
-_DENSE_PER_THETA = 200
+# cells per unit of theta that `_FellerHits` draws with one uniform each
+# before it switches to thinned Poisson points, two uniforms a point:
+# 4, 8, 16 and 32 timed alike, within run noise, for mc_functionals at
+# m = 1000 from (1e3, 0.5) to (1e6, 1) and (1e3, 1e6) (2-vCPU VM)
+_DENSE_PER_THETA = 16
+# values (window uniforms, two per expected point) a pass of `_FellerHits`
+# may hold, about 8 MiB of doubles
+_HIT_VALUES = 1 << 20
 
 
 def seed_from_env(default: int = DEFAULT_SEED) -> int:
@@ -235,18 +236,17 @@ def sample_feller(
 
 
 def _successes(
-    gen: np.random.Generator, theta: float, window_end: int, reach: int
+    gen: np.random.Generator, theta: float, n: int, reach: int
 ) -> tuple[np.ndarray, list[int]]:
     """Successes of xi_j ~ Bernoulli(p_j), p_j = theta/(theta+j-1), j >= 1.
 
-    Returns the mask xi_1..xi_J of the dense window J = `window_end`, one
-    uniform per position, and the positions of the successes past J through
-    the first at or past `reach`. Each is one Geometric(W) step,
-    W ~ Beta(theta, t), from the last position t, success or not:
-    P(no success in t+1..t+s) = (t)_s/(theta+t)_s = E[(1-W)^s].
+    Returns the mask xi_1..xi_n, one uniform per position, and the positions
+    of the successes past n through the first at or past `reach`. Each is
+    one Geometric(W) step, W ~ Beta(theta, t), from the last position t,
+    success or not: P(no success in t+1..t+s) = (t)_s/(theta+t)_s = E[(1-W)^s].
     """
-    window = gen.random(window_end) < success_probs(window_end, theta)
-    t = window_end
+    window = gen.random(n) < success_probs(n, theta)
+    t = n
     later = []
     while t < reach:
         t += _geometric(gen, gen.beta(theta, t))
@@ -255,26 +255,88 @@ def _successes(
 
 
 def _dense_window(theta: float, n: int) -> int:
-    """J = min(n, ceil(_DENSE_PER_THETA theta)), the dense window of `_feller_positions`."""
+    """J = min(n, ceil(_DENSE_PER_THETA theta)), the dense window of `_FellerHits`."""
     reach = _DENSE_PER_THETA * theta
     return n if reach >= n else math.ceil(reach)
 
 
-def _feller_positions(gen: np.random.Generator, theta: float, n: int) -> np.ndarray:
-    """The successes in 1..n of the Feller coupling, less one, increasing.
+class _FellerHits:
+    """The Feller successes of consecutive replicates, a block at a time.
 
-    One `_successes` pass: the dense window 1..J, J = `_dense_window`, then
-    the Beta-Geometric steps from t = J that land at or before n (the last
-    step is kept only if it lands on n). Past J the draw is exact, since a
-    step's law does not depend on whether t is a success. Where J = n no
-    step is taken, and the positions are those of the mask
-    `_successes(gen, theta, n, n)` on the same generator, bit for bit.
+    Cell i = j - 1 of a replicate holds xi_j ~ Bernoulli(p_i),
+    p_i = theta/(theta+i), i = 0..n-1, independent; `draw(count)` returns
+    the next `count` replicates' successes as flat (replicate, cell) arrays,
+    replicates counted from 0 in each call, sorted by replicate then cell.
+
+    - Cells 0..J-1, J = `_dense_window`, are one uniform each from stream A:
+      a row of `random((rows, J)) < p`. Cell 0 is always a success.
+    - Past J the cells are cut into the blocks [lo, min(n, 2 lo)), lo = J,
+      2J, 4J, ... Cell i succeeds iff a Poisson process of rate
+      lambda_i = log1p(theta/i) = -log(1 - p_i) puts a point in it, which
+      happens with probability 1 - e^-lambda_i = p_i, independently of the
+      other cells. A block of L cells draws one Poisson(L lambda_lo) count
+      per replicate from stream B, lambda_lo being its largest rate; each
+      point reads two uniforms from stream C, falls in cell
+      lo + floor(u_1 L) and is kept iff u_2 lambda_lo < lambda_i (thinning,
+      Lewis & Shedler 1979), and a cell with a kept point is a success. The
+      rates are evaluated per point, so p_i is exact to rounding; a table of
+      cumulative rates inverted by `searchsorted` would lose about 1e-9
+      relative in p_i at n = 1e6.
+
+    Streams A, B and C are `rng.substream(0/1/2).generator()`, each read in
+    replicate order, so the draws do not depend on how the replicates are
+    split into calls or passes, and a longer run extends a shorter one. A
+    replicate cannot be drawn alone from its own substream. A pass holds at
+    most `_HIT_VALUES // (J + 2 sum_blocks L lambda_lo)` replicates: the
+    window's uniforms and two per expected point.
     """
-    window, later = _successes(gen, theta, _dense_window(theta, n), n)
-    pos = window.nonzero()[0]
-    if later and later[-1] > n:
-        later.pop()
-    return np.concatenate((pos, np.subtract(later, 1))) if later else pos
+
+    def __init__(self, rng: RngState, theta: float, n: int) -> None:
+        self.theta, self.n = theta, n
+        self.window = _dense_window(theta, n)
+        lo, start = [], self.window
+        while start < n:
+            lo.append(start)
+            start *= 2
+        self.lo = np.array(lo, dtype=np.int64)
+        self.span = np.minimum(self.lo, n - self.lo)
+        self.rate = np.log1p(theta / self.lo)
+        self.mean = self.span * self.rate
+        self.rows = max(1, int(_HIT_VALUES // (self.window + 2.0 * float(self.mean.sum()))))
+        self.cells, self.counts, self.points = (rng.substream(s).generator() for s in range(3))
+
+    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(replicate, cell) of every success of the next `count` replicates."""
+        parts = [self._pass(first, min(self.rows, count - first)) for first in range(0, count, self.rows)]
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+    def _pass(self, first: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        hit = np.flatnonzero(self.cells.random((rows, self.window)) < success_probs(self.window, self.theta))
+        rep = hit // self.window
+        cell = hit - rep * self.window
+        if self.lo.size:
+            rep, cell = self._with_thinned(rows, rep, cell)
+        rep += first
+        return rep, cell
+
+    def _with_thinned(self, rows: int, rep: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The window's successes (rep, cell) of `rows` replicates, each followed by its thinned ones."""
+        blocks = self.lo.size
+        point = np.repeat(np.arange(rows * blocks), self.counts.poisson(self.mean, (rows, blocks)).ravel())
+        u = self.points.random((point.size, 2))
+        b = point % blocks
+        at = self.lo[b] + (u[:, 0] * self.span[b]).astype(np.int64)
+        keep = u[:, 1] * self.rate[b] < np.log1p(self.theta / at)
+        keys = np.sort(point[keep] // blocks * self.n + at[keep])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        later = keys // self.n
+        # a replicate's window cells all lie below its thinned cells
+        runs = np.column_stack((np.bincount(rep, minlength=rows), np.bincount(later, minlength=rows)))
+        in_window = np.repeat(np.tile((True, False), rows), runs.ravel())
+        pos = np.empty(in_window.size, dtype=np.int64)
+        pos[in_window] = cell
+        pos[~in_window] = keys - later * self.n
+        return np.repeat(np.arange(rows), runs.sum(axis=1)), pos
 
 
 def _geometric(gen: np.random.Generator, w: float) -> int:

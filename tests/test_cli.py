@@ -281,7 +281,7 @@ class TestFclt:
         doc = json.loads(out)
         assert doc["which"] == "X4" and doc["stat"] == "sup"
         assert 0.0 <= doc["ks"] <= 1.0
-        assert doc["dense_window"] == 200  # 200 theta < n: the draws step past 200
+        assert doc["dense_window"] == 16  # 16 theta < n: thinned points past cell 15
         lines = target.read_text().strip().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) == 2 + 1000  # comment, header, values
@@ -294,7 +294,7 @@ class TestFclt:
         assert doc["columns"] == ["value"] and len(doc["rows"]) == 1000
         summary = json.loads(err)
         assert summary["m"] == 1000
-        assert summary["dense_window"] == 100  # 200 theta >= n: the window is 1..n
+        assert summary["dense_window"] == 32  # 16 theta < n: thinned points past cell 31
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         argv = ["fclt", "--n", "400", "--theta", "1", "--m", "1000"]

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewens
-from ewens import paths
+from ewens import paths, sampling
 from ewens.laws import EsfParams, Partition
 from ewens.paths import (
     DEFAULT_EPS,
@@ -38,7 +38,7 @@ from ewens.paths import (
     process_value,
     reference_functionals,
 )
-from ewens.sampling import RngState, _feller_positions, sample_feller
+from ewens.sampling import RngState, _FellerHits, sample_feller
 
 # (n, counts, theta) -> {process: (sup, l2)}; values from exact symbolic
 # integration of the step-function definitions at eps = 0.01.
@@ -107,28 +107,20 @@ HAND_WORKED = [
 
 
 # (n, theta, eps) draws at the edges of the batched kernel and of the
-# dense window 1..min(n, 200 theta)
+# dense window, cells 0..min(n, ceil(16 theta)) - 1
 EDGE_DRAWS = [(300, 2.0, DEFAULT_EPS), (2, 1.0, DEFAULT_EPS), (50, 1e6, DEFAULT_EPS),
               (1000, 0.05, DEFAULT_EPS), (1000, 2.0, 3.0), (200, 5.0, 50.0),
               (10**4, 2.0, DEFAULT_EPS), (1000, 0.01, DEFAULT_EPS)]
 
 
 @functools.cache
-def loop_paths(n, theta):
-    """The paths of replicates 0..999 of RngState(44), dense `sample_feller` on each substream."""
-    rng = RngState(44)
-    return [build_path(sample_feller(EsfParams(n, theta), rng.substream(i)).c_n) for i in range(1000)]
-
-
-@functools.cache
-def stepped_paths(n, theta):
-    """The paths of replicates 0..999 of RngState(44), `_feller_positions` on each substream."""
-    rng = RngState(44)
-    out = []
-    for i in range(1000):
-        pos = _feller_positions(rng.substream(i).generator(), theta, n) + 1
-        out.append(build_path(Partition.from_blocks(np.diff(pos, append=n + 1))))
-    return out
+def sampled_paths(n, theta):
+    """The paths of replicates 0..999 of RngState(44), from `_FellerHits`' own cells."""
+    rep, pos = _FellerHits(RngState(44), theta, n).draw(1000)
+    return [
+        build_path(Partition.from_blocks(np.diff(cells + 1, append=n + 1)))
+        for cells in np.split(pos, np.flatnonzero(np.diff(rep)) + 1)
+    ]
 
 
 def dense_x2(path, theta):
@@ -466,27 +458,28 @@ class TestMcFunctionals:
         "which,stat_kind", [(w, k) for w in ("X1", "X2", "X3", "X4", "X5") for k in ("sup", "l2")]
     )
     def test_matches_a_loop_over_substreams(self, which, stat_kind):
-        # the reference loop: replicate i draws `_feller_positions` from
-        # substream i. The edge draws: n = 2; only singletons at theta = 1e6
-        # (999 of 1000 paths); a single cycle at theta = 0.05 (689 of 1000);
-        # X3/X5 windows cutting the first intervals (eps = 3 at n = 1000 cuts
-        # u below 0.43) or every interval (eps = 50); Beta-Geometric steps
-        # past a window of 400 at n = 1e4 and of 2 at theta = 0.01
+        # the reference loop: `functional_stat` on each replicate's path, built
+        # from the cells `_FellerHits` draws. The edge draws: n = 2; only
+        # singletons at theta = 1e6 (all 1000 paths); a single cycle at
+        # theta = 0.05 (693 of 1000); X3/X5 windows cutting the first intervals
+        # (eps = 3 at n = 1000 cuts u below 0.43) or every interval (eps = 50);
+        # thinned points past a window of 32 at n = 1e4 and of 1 at theta = 0.01
         idx = 0 if stat_kind == "sup" else 1
         for n, theta, eps in EDGE_DRAWS:
             params, rng = EsfParams(n, theta), RngState(44)
-            ref = [functional_stat(path, theta, which, eps)[idx] for path in stepped_paths(n, theta)]
+            ref = [functional_stat(path, theta, which, eps)[idx] for path in sampled_paths(n, theta)]
             got = mc_functionals(params, which, stat_kind, eps, 1000, rng)
             assert np.array_equal(got.values, ref), (n, theta, eps)
 
     def test_blocks_must_weigh_n(self):
-        # position 1 is always a success; without it the blocks miss n
-        starts, sizes, cum = paths._feller_blocks(10, [np.array([0, 4]), np.array([0, 1, 2, 9])])
+        # cell 0 is always a success; without it the blocks miss n
+        rep, pos = np.array([0, 0, 1, 1, 1, 1]), np.array([0, 4, 0, 1, 2, 9])
+        starts, sizes, cum = paths._feller_blocks(10, 2, rep, pos)
         np.testing.assert_array_equal(starts, [0, 2])
         np.testing.assert_array_equal(sizes, [4, 6, 1, 7])
         np.testing.assert_array_equal(cum, [1, 2, 3, 4])
         with pytest.raises(ValueError, match="replicate 1 weigh 8"):
-            paths._feller_blocks(10, [np.array([0, 4]), np.array([2, 5])])
+            paths._feller_blocks(10, 2, np.array([0, 0, 1, 1]), np.array([0, 4, 2, 5]))
 
     def test_kernel_runs_once_per_block_of_replicates(self, monkeypatch):
         calls = []
@@ -505,22 +498,35 @@ class TestMcFunctionals:
         assert calls == [1000, 300, 300, 300, 100]
         assert np.array_equal(blocked.values, whole.values)
 
-    @pytest.mark.parametrize("n,theta", [(n, theta) for n, theta, _ in EDGE_DRAWS if 200 * theta >= n])
-    def test_draws_the_dense_sampler_where_the_window_covers_n(self, n, theta):
-        # with no step to take, mc_functionals reads the uniforms of sample_feller
-        for stepped, dense in zip(stepped_paths(n, theta), loop_paths(n, theta), strict=True):
-            assert np.array_equal(stepped.sizes, dense.sizes)
-            assert np.array_equal(stepped.cum_counts, dense.cum_counts)
+    def test_prefix_across_a_block_of_replicates(self):
+        params = EsfParams(300, 2.0)
+        short = mc_functionals(params, "X1", "l2", DEFAULT_EPS, 4096, RngState(19))
+        longer = mc_functionals(params, "X1", "l2", DEFAULT_EPS, 5000, RngState(19))
+        assert np.array_equal(longer.values[:4096], short.values)
+
+    @pytest.mark.parametrize("n,theta", [(1000, 2.0), (200, 30.0)])
+    def test_values_do_not_depend_on_the_pass_size(self, n, theta, monkeypatch):
+        whole = mc_functionals(EsfParams(n, theta), "X2", "sup", DEFAULT_EPS, 1000, RngState(21))
+        monkeypatch.setattr(sampling, "_HIT_VALUES", 500)  # a few replicates a pass
+        passes = mc_functionals(EsfParams(n, theta), "X2", "sup", DEFAULT_EPS, 1000, RngState(21))
+        assert np.array_equal(passes.values, whole.values)
+
+    @pytest.mark.parametrize("n,theta,parent", [(10**3, 500.0, 25.4), (10**4, 100.0, 21.4)])
+    def test_memory_stays_below_the_per_replicate_draws(self, n, theta, parent):
+        # the bound is the traced peak, in MiB, of the per-replicate loop that
+        # drew these before the block sampler; 17.8 and 18.3 MiB measured, for
+        # windows of 1000 and 1600 cells and about 550 and 460 successes a
+        # replicate
+        assert _mc_peak(EsfParams(n, theta)) <= parent * 2**20
 
     def test_memory_stays_per_replicate(self):
-        # per replicate only the 400 uniforms of the dense window, its mask
-        # and the O(K) stepped positions are live at once, then the block's
-        # O(m K) kernel arrays: 2.2 MiB measured, where one m x n boolean
-        # array would be 100 MB at m = 1000, n = 1e5
+        # the block's 32-cell windows, its thinned points and then its O(m K)
+        # kernel arrays: 2.0 MiB measured, where one m x n boolean array would
+        # be 100 MB at m = 1000, n = 1e5
         assert _mc_peak(EsfParams(10**5, 2.0)) < 4 * 2**20
 
     def test_memory_stays_below_the_window_at_n_1e6(self):
-        # 2.7 MiB measured; a dense draw holds n = 1e6 uniforms, 8 MB, at once
+        # 2.4 MiB measured; a dense draw holds n = 1e6 uniforms, 8 MB, at once
         assert _mc_peak(EsfParams(10**6, 2.0)) < 4 * 2**20
 
     def test_meta_records_configuration(self):

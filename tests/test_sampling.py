@@ -17,7 +17,7 @@ from ewens.sampling import (
     FellerSample,
     RngState,
     _dense_window,
-    _feller_positions,
+    _FellerHits,
     _geometric,
     _philox_keys,
     _successes,
@@ -269,19 +269,32 @@ class TestFellerSampler:
             sample_feller(EsfParams(10, 1e9), RngState(1), b_max=10, tail_bound=1e-3)
 
 
-class _ScriptedGenerator:
-    """A generator stub: `random(size)` returns the window's uniforms, `random()`
-    the next step uniform, and `beta` a fixed w, recording its arguments."""
+class _ScriptedStream:
+    """A generator stub: `random` and `poisson` return fixed values of the asked
+    shape, and `poisson` records its means."""
 
-    def __init__(self, window, steps, w):
-        self.window, self.steps, self.w, self.betas = np.array(window), list(steps), w, []
+    def __init__(self, values):
+        self.values, self.means = np.array(values), []
 
-    def random(self, size=None):
-        return self.steps.pop(0) if size is None else self.window[:size]
+    def random(self, size):
+        assert self.values.shape == size
+        return self.values
 
-    def beta(self, a, b):
-        self.betas.append((a, b))
-        return self.w
+    def poisson(self, lam, size):
+        assert self.values.shape == size
+        self.means.append(np.array(lam))
+        return self.values
+
+
+class _ScriptedState:
+    """An `RngState` stub whose substream(i) makes the i-th scripted stream."""
+
+    def __init__(self, *streams):
+        self.streams = streams
+
+    def substream(self, index):
+        stream = self.streams[index]
+        return type("Sub", (), {"generator": lambda self: stream})()
 
 
 def _empirical_tv(values, pmf):
@@ -291,47 +304,65 @@ def _empirical_tv(values, pmf):
 
 class TestFellerPositions:
     @pytest.mark.parametrize(
-        "theta,n,window", [(2.0, 10**4, 400), (0.01, 1000, 2), (1e-9, 50, 1), (2.5, 500, 500), (1e307, 10, 10)]
+        "theta,n,window", [(2.0, 10**4, 32), (0.01, 1000, 1), (1e-9, 50, 1), (2.5, 500, 40), (1e307, 10, 10)]
     )
-    def test_dense_window_is_200_theta_capped_at_n(self, theta, n, window):
+    def test_dense_window_is_16_theta_capped_at_n(self, theta, n, window):
         assert _dense_window(theta, n) == window
 
-    @pytest.mark.parametrize("n,theta", [(400, 2.0), (500, 2.5), (300, 2.0), (50, 1e6), (1000, 5.0), (2, 1.0)])
-    def test_bit_identical_to_the_dense_mask_where_the_window_covers_n(self, n, theta):
-        # 200 theta = n for the first two, above n for the rest
-        root = RngState(61)
-        for i in range(40):
-            got = _feller_positions(root.substream(i).generator(), theta, n)
-            want = _successes(root.substream(i).generator(), theta, n, n)[0].nonzero()[0]
-            assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("n,theta,tol", [(500, 0.5, 0.02), (1000, 0.01, 0.008), (1000, 0.1, 0.015),
-                                             (10**4, 2.0, 0.025)])
+                                             (10**4, 2.0, 0.025), (300, 50.0, 0.03), (2000, 50.0, 0.04),
+                                             (50, 1e6, 0.002)])
     def test_block_count_law_matches_kn_pmf(self, n, theta, tol):
-        # 2e4 draws; the seed's TV is 0.0067, 0.0014, 0.0020 and 0.0117, where
-        # multinomial draws from the exact law reach 0.014, 0.005, 0.010 and
-        # 0.017 at their 99th percentile
-        k = np.array([_feller_positions(gen, theta, n).size for gen in RngState(31).generators(20000)])
-        assert _empirical_tv(k, kn_pmf(EsfParams(n, theta))) < tol
+        # 2e4 draws; the seed's TV is 0.0073, 0.0015, 0.0018, 0.0134, 0.0177,
+        # 0.0205 and 0, where multinomial draws from the exact law reach 0.014,
+        # 0.005, 0.010, 0.017, 0.022, 0.027 and 0.0007 at their 99th
+        # percentile. 16 theta >= n at (300, 50) and (50, 1e6): the window is
+        # every cell; (2000, 50) has a window of 800 cells and two blocks
+        rep, _ = _FellerHits(RngState(31), theta, n).draw(20000)
+        assert _empirical_tv(np.bincount(rep, minlength=20000), kn_pmf(EsfParams(n, theta))) < tol
 
     def test_singleton_law_matches_singleton_pmf(self):
-        # the seed's TV is 0.0050; exact multinomial draws reach 0.012 at the 99th percentile
-        n, theta = 1000, 2.0
-        c1 = np.array([
-            np.count_nonzero(np.diff(_feller_positions(gen, theta, n), append=n) == 1)
-            for gen in RngState(32).generators(20000)
-        ])
+        # the seed's TV is 0.0070; exact multinomial draws reach 0.012 at the 99th percentile
+        n, theta, m = 1000, 2.0, 20000
+        rep, pos = _FellerHits(RngState(32), theta, n).draw(m)
+        # a replicate's last gap runs to the next replicate's cell 0, or to 0 past the end
+        gaps = np.diff(pos, append=0)
+        gaps[np.diff(rep, append=m) != 0] += n
+        c1 = np.bincount(rep[gaps == 1], minlength=m)
         assert _empirical_tv(c1, singleton_pmf(EsfParams(n, theta))) < 0.02
 
-    # n = 10, theta = 0.01: the window is 1..2, whose uniforms make position 1
-    # the only success there; with w = 1/2, u = 2^-2.5 steps 3 (from 2 to 5)
-    @pytest.mark.parametrize("last_u,want", [(2.0**-4.5, [0, 4, 9]), (2.0**-5.5, [0, 4])],
-                             ids=["lands_on_n", "passes_n"])
-    def test_last_step_is_kept_only_on_n(self, last_u, want):
-        gen = _ScriptedGenerator([0.5, 0.99], [2.0**-2.5, last_u], 0.5)
-        assert _feller_positions(gen, 0.01, 10).tolist() == want
-        # each step draws Beta(theta, t) at the position it leaves, success or not
-        assert gen.betas == [(0.01, 2), (0.01, 5)] and not gen.steps
+    def test_cell_mapping_and_thinning_rule(self):
+        # theta = 1, n = 64: window 0..15, blocks [16, 32) and [32, 64), with
+        # rates log1p(1/16) and log1p(1/32). Replicate 0's window makes cells 0
+        # and 3 successes; its first block gets three points, its second one.
+        # A point at u_1 falls in cell lo + floor(u_1 L) and is kept iff
+        # u_2 log1p(1/lo) < log1p(1/cell): cell 31 keeps u_2 < 0.5237
+        # (p_31/p_16 = 0.5313 would keep 0.53), cell 24 keeps u_2 < 0.6732
+        window = np.full((2, 16), 0.99)
+        window[:, 0] = 0.5
+        window[0, 3] = 0.2
+        counts = _ScriptedStream([[3, 1], [0, 1]])
+        points = _ScriptedStream([[0.5, 0.6], [0.5, 0.1], [0.99, 0.53], [0.0, 0.999], [0.5, 0.2]])
+        rep, pos = _FellerHits(_ScriptedState(_ScriptedStream(window), counts, points), 1.0, 64).draw(2)
+        assert rep.tolist() == [0, 0, 0, 0, 1, 1]
+        assert pos.tolist() == [0, 3, 24, 32, 0, 48]  # 24 twice, once; 31 thinned away
+        np.testing.assert_array_equal(counts.means[0], [16 * math.log1p(1 / 16), 32 * math.log1p(1 / 32)])
+
+    def test_window_covering_n_draws_no_points(self):
+        state = _ScriptedState(_ScriptedStream(np.zeros((3, 10))), None, None)
+        rep, pos = _FellerHits(state, 1.0, 10).draw(3)
+        assert rep.tolist() == [i for i in range(3) for _ in range(10)]
+        assert pos.tolist() == list(range(10)) * 3
+
+    @pytest.mark.parametrize("n,theta", [(1000, 2.0), (300, 50.0), (10**5, 0.3)])
+    def test_draws_do_not_depend_on_calls_or_passes(self, n, theta, monkeypatch):
+        whole = _FellerHits(RngState(9), theta, n).draw(700)
+        monkeypatch.setattr("ewens.sampling._HIT_VALUES", 1)  # one replicate a pass
+        hits = _FellerHits(RngState(9), theta, n)
+        parts = [hits.draw(300), hits.draw(1), hits.draw(399)]
+        rep = np.concatenate([r + first for (r, _), first in zip(parts, (0, 300, 301))])
+        assert np.array_equal(rep, whole[0])
+        assert np.array_equal(np.concatenate([p for _, p in parts]), whole[1])
 
 
 class TestCrpSampler:

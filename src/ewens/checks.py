@@ -9,6 +9,7 @@ sub-second subset; the full run adds the Monte Carlo cross-validations.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -155,35 +156,31 @@ def _check_sampler_determinism() -> str:
     cb = sampling.sample_crp(p, sampling.RngState(9))
     if ca != cb:
         raise AssertionError("crp draws differ under identical seeds")
-    ka = [sampling.sample_kn(p, sampling.RngState(3).substream(i)) for i in range(10)]
-    kb = [sampling.sample_kn(p, sampling.RngState(3).substream(i)) for i in range(10)]
-    if ka != kb:
-        raise AssertionError("kn draws differ under identical seeds")
-    return "feller/crp/kn reproduce byte-identically"
+    gen = sampling.RngState(3).generator()
+    ka = [sampling.sample_kn(p, gen) for _ in range(10)]
+    gen = sampling.RngState(3).generator()
+    kb = [sampling.sample_kn(p, gen) for _ in range(5)]
+    if ka[:5] != kb:
+        raise AssertionError("a rerun of 5 kn draws on one stream does not start the run of 10")
+    return "feller/crp/kn reproduce byte-identically; 5 kn draws on a stream start 10"
 
 
 def _check_sampler_laws() -> str:
-    p = EsfParams(6, 2.0)
-    table = bruteforce.enumerate_esf(p)
     m = 20000
-    rng_f = sampling.RngState(11)
-    rng_c = sampling.RngState(12)
-    counts_f: dict[tuple, int] = {}
-    counts_c: dict[tuple, int] = {}
-    for i in range(m):
-        f = sampling.sample_feller(p, rng_f.substream(i)).c_n.as_tuple()
-        c = sampling.sample_crp(p, rng_c.substream(i)).as_tuple()
-        counts_f[f] = counts_f.get(f, 0) + 1
-        counts_c[c] = counts_c.get(c, 0) + 1
-    tv_f = 0.5 * math.fsum(
-        abs(counts_f.get(part.as_tuple(), 0) / m - pr) for part, pr in table.entries
-    )
-    tv_c = 0.5 * math.fsum(
-        abs(counts_c.get(part.as_tuple(), 0) / m - pr) for part, pr in table.entries
-    )
-    if tv_f > 0.02 or tv_c > 0.02:
-        raise AssertionError(f"sampler TV too large: feller {tv_f:.4f}, crp {tv_c:.4f}")
-    return f"TV(feller)={tv_f:.4f}, TV(crp)={tv_c:.4f} at M={m}"
+    samplers = (("feller", 11, lambda p, gen: sampling.sample_feller(p, gen).c_n), ("crp", 12, sampling.sample_crp))
+    tvs = {}
+    for theta in (0.01, 0.1, 2.0):
+        p = EsfParams(6, theta)
+        for name, seed, draw in samplers:
+            gen = sampling.RngState(seed).generator()
+            counts = Counter(draw(p, gen).as_tuple() for _ in range(m))
+            tvs[name, theta] = 0.5 * math.fsum(
+                abs(counts[part.as_tuple()] / m - pr) for part, pr in bruteforce.enumerate_esf(p).entries
+            )
+    detail = ", ".join(f"TV({name}, theta={theta})={tv:.4f}" for (name, theta), tv in tvs.items())
+    if max(tvs.values()) > 0.02:
+        raise AssertionError(f"sampler TV too large: {detail}")
+    return f"{detail} at M={m}"
 
 
 def _check_db_oracle() -> str:
@@ -313,9 +310,9 @@ def _check_fclt_exact() -> str:
     worst = max(worst, abs(closed - math.fsum(direct) / big_l))
     if worst > 1e-9:
         raise AssertionError(f"closed-form L2 off by {worst:.2e}")
-    rng = sampling.RngState(21)
-    for i in range(50):
-        s = sampling.sample_feller(EsfParams(100, 1.0), rng.substream(i))
+    gen = sampling.RngState(21).generator()
+    for _ in range(50):
+        s = sampling.sample_feller(EsfParams(100, 1.0), gen)
         p = paths.build_path(s.c_n)
         if paths.process_value(p, 1.0, "X4", 1.0) != 0.0:
             raise AssertionError("X4(1) != 0 on a sampled partition")

@@ -158,22 +158,22 @@ def _run_sample(ns: argparse.Namespace) -> int:
     p = EsfParams(ns.n, ns.theta)
     m = ns.m
     seed = _seed(ns)
-    rng = RngState(seed)
     meta = {"n": p.n, "theta": p.theta, "sampler": ns.sampler, "seed": seed, "m": m}
     # only the Feller sampler has an extension to tune
     extension = {k: v for k, v in (("b_max", ns.b_max), ("tail_bound", ns.tail_bound)) if v is not None}
     if extension and ns.sampler != "feller":
         raise ValueError(f"--{next(iter(extension)).replace('_', '-')} applies to --sampler feller only")
+    gen = RngState(seed).generator()
     if ns.sampler == "kn":
-        rows = [[i, sampling.sample_kn(p, rng.substream(i))] for i in range(m)]
+        rows = [[i, sampling.sample_kn(p, gen)] for i in range(m)]
         _table(ns, ["rep", "k"], rows, meta)
         return 0
     rows = []
     for i in range(m):
         if ns.sampler == "crp":
-            part = sampling.sample_crp(p, rng.substream(i))
+            part = sampling.sample_crp(p, gen)
         else:
-            s = sampling.sample_feller(p, rng.substream(i), **extension)
+            s = sampling.sample_feller(p, gen, **extension)
             part = s.c_n
         rows += [[i, j, c] for j, c in zip(part.sizes.tolist(), part.mults.tolist())]
     if ns.sampler == "feller" and ns.b_max:

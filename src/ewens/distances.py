@@ -438,8 +438,9 @@ def dbw_mc(params: EsfParams, b: int, replicates: int, rng: RngState) -> McEstim
     """Feller-coupling estimate of sum_{j<=b} E|C_j^n - Z_j|.
 
     An upper-bound estimator for the prefix Wasserstein distance; the
-    per-sample extension residual gives the certified bias bound. Replicate
-    i draws from substream i (through `RngState.generators`).
+    per-sample extension residual gives the certified bias bound. The
+    replicates are `sample_feller` draws read in order from the one stream
+    `rng.generator()`, so a longer run extends a shorter one.
     """
     n = params.n
     if b != int(b) or not 1 <= b <= n:
@@ -450,7 +451,8 @@ def dbw_mc(params: EsfParams, b: int, replicates: int, rng: RngState) -> McEstim
     total = 0
     total_sq = 0
     residual = 0.0
-    for gen in rng.generators(replicates):
+    gen = rng.generator()
+    for _ in range(replicates):
         s = sample_feller(params, gen, b_max=b)
         x = int(np.abs(s.c_n.prefix(b) - s.c_inf).sum())
         total += x

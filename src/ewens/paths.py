@@ -14,10 +14,10 @@ one grow-only table of max n entries, built once.
 Cost model: `_stats` computes every functional for many paths at once,
 laid out back to back, and `functional_stat` is `_stats` on one path.
 `mc_functionals` keeps only the Feller success cells of a block of
-`_KEY_BLOCK` replicates, drawn by `sampling._FellerHits` in a few numpy
-calls, so a replicate costs the min(n, ceil(16 theta)) uniforms of its
-dense window, two uniforms per thinned Poisson point past it, and O(K_n)
-vectorised work; one `_stats` call serves the block.
+`_REPLICATE_BLOCK` replicates, drawn by `sampling._FellerHits` in a few
+numpy calls, so a replicate costs the min(n, ceil(16 theta)) uniforms of
+its dense window, two uniforms per thinned Poisson point past it, and
+O(K_n) vectorised work; one `_stats` call serves the block.
 """
 
 from __future__ import annotations
@@ -29,13 +29,16 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .laws import EsfParams, Partition
-from .sampling import _KEY_BLOCK, RngState, _FellerHits
+from .sampling import RngState, _FellerHits, _key_rows
 
 _PROCESSES = ("X1", "X2", "X3", "X4", "X5")
 DEFAULT_EPS = 0.01
 MIN_REPLICATES = 10**3  # mc_functionals
 MIN_REF_REPLICATES = 100  # reference_functionals
 MIN_GRID_M = 2**10  # reference_functionals
+# replicates per `_FellerHits.draw` and `_stats` call in `mc_functionals`,
+# which holds O(_REPLICATE_BLOCK K_n) besides the replicates' values
+_REPLICATE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -319,7 +322,8 @@ def _feller_blocks(
     (rep[k], pos[k]) are the successes in 1..n, less one, of replicates
     0..count-1, sorted by replicate then position; a replicate's blocks are
     the gaps between them, n + 1 - t_last closing them. All replicates'
-    (replicate, size) keys are grouped in one sort.
+    (replicate, size) keys, below count (n + 1), are grouped in one sort, so
+    count is at most `sampling._key_rows(n)`.
     """
     gaps = np.empty_like(pos)
     np.subtract(pos[1:], pos[:-1], out=gaps[:-1])
@@ -331,11 +335,13 @@ def _feller_blocks(
     new = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     mults = np.diff(new, append=keys.size)
     rep, sizes = np.divmod(keys[new], n + 1)
-    weight = np.bincount(rep, sizes * mults, minlength=count)
+    bounds = np.searchsorted(rep, np.arange(count + 1))
+    # exact in int64, since all the weights sum to count n < 2^63
+    weight = np.diff(np.concatenate(([0], np.cumsum(sizes * mults)))[bounds])
     if np.any(weight != n):
         bad = int(np.flatnonzero(weight != n)[0])
-        raise ValueError(f"blocks of replicate {bad} weigh {weight[bad]:.0f}, expected n = {n}")
-    starts = np.searchsorted(rep, np.arange(count))
+        raise ValueError(f"blocks of replicate {bad} weigh {weight[bad]}, expected n = {n}")
+    starts = bounds[:-1]
     cum = np.cumsum(mults)
     cum -= np.repeat(cum[starts] - mults[starts], np.diff(starts, append=rep.size))
     return starts, sizes, cum
@@ -369,13 +375,15 @@ def mc_functionals(
     """Sampled functional values over independent partition draws.
 
     The replicates' Feller successes in 1..n come from
-    `sampling._FellerHits(rng, theta, n)`, a block of `_KEY_BLOCK`
-    replicates per `draw`; replicate i's value is `functional_stat` on the
-    path of its blocks. Each block is grouped and reduced by one `_stats`
-    call. Per replicate that is the min(n, ceil(16 theta)) uniforms of the
-    dense window, two per thinned Poisson point past it (about
-    theta log2(n/(16 theta)) points) and O(K_n) vectorised work, and memory
-    is O(_KEY_BLOCK K_n) besides the replicates' values.
+    `sampling._FellerHits(rng, theta, n)`, a block of `_REPLICATE_BLOCK`
+    replicates per `draw`, fewer where n is so large that the block's
+    (replicate, size) keys would overflow int64; replicate i's value is
+    `functional_stat` on the path of its blocks. Each block is grouped and
+    reduced by one `_stats` call. Per replicate that is the
+    min(n, ceil(16 theta)) uniforms of the dense window, two per thinned
+    Poisson point past it (about theta log2(n/(16 theta)) points) and
+    O(K_n) vectorised work, and memory is O(_REPLICATE_BLOCK K_n) besides
+    the replicates' values.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
@@ -387,8 +395,9 @@ def mc_functionals(
     _check_n(n)
     values = np.empty(replicates, dtype=np.float64)
     hits = _FellerHits(rng, theta, n)
-    for lo in range(0, replicates, _KEY_BLOCK):
-        count = min(_KEY_BLOCK, replicates - lo)
+    block = min(_REPLICATE_BLOCK, _key_rows(n))
+    for lo in range(0, replicates, block):
+        count = min(block, replicates - lo)
         values[lo : lo + count] = _stats(n, theta, which, eps, *_feller_blocks(n, count, *hits.draw(count)))[idx]
     return FunctionalSample(which, stat_kind, values)
 

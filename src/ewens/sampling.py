@@ -2,24 +2,11 @@
 
 Reproducibility model: an `RngState` is (seed, stream) feeding a
 counter-based Philox generator, so draws are bit-for-bit stable across
-platforms, and a single-draw call on `substream(i)` regenerates replicate
-i in isolation without running the loop up to i.
-
-Set-up cost: `RngState.generator()` keys its Philox through numpy's
-`SeedSequence`, and one `substream(i).generator()` pair costs 24-34 us.
-A loop whose replicates read exactly one uniform each needs no
-per-replicate key: `regimes.zn_mc_distribution` reads double i of one
-`generator()` stream for replicate i, which keeps both determinism rules.
-Loops of at least 100 replicates that must match a single-draw call on
-`substream(i)` bit for bit (`distances.dbw_mc`) use
-`RngState.generators(count)` instead. It yields generators whose draws
-are bit-identical to those of `substream(i).generator()` for
-i = 0..count-1, at 3-5 us each plus a fixed 0.12 ms per loop, so it
-breaks even at about 5 replicates (2-vCPU Xeon VM, numpy 2.4). It hashes
-each index once, computes the Philox keys in one vectorised pass per block
-of 4096 indices, and re-keys a single Philox in place before each yield. Every yielded generator is that same object, so
-draw from it before advancing the iterator. `sample_feller`, `sample_kn`
-and `sample_crp` take either an `RngState` or such a generator.
+platforms. A Monte Carlo loop reads its replicates in order from its
+state's own stream(s), so reruns are byte-identical and a longer run
+extends a shorter one; `substream(k)` derives named sibling streams, never
+one per replicate. `sample_feller`, `sample_kn` and `sample_crp` take
+either an `RngState` or a generator to draw from.
 
 Cost per draw: `sample_feller` and `sample_kn` read C^n, C^inf and K_n off
 one `_successes` pass, one uniform per position 1..n in one vectorised call
@@ -39,7 +26,6 @@ import hashlib
 import math
 import os
 import struct
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +35,6 @@ from .laws import EsfParams, Partition, success_probs
 DEFAULT_SEED = 424242
 
 _MASK64 = (1 << 64) - 1
-_KEY_BLOCK = 4096  # indices hashed and keyed per vectorised pass of `generators`
 # cells per unit of theta that `_FellerHits` draws with one uniform each
 # before it switches to thinned Poisson points, two uniforms a point:
 # 4, 8, 16 and 32 timed alike, within run noise, for mc_functionals at
@@ -95,79 +80,9 @@ class RngState:
         )
 
     def substream(self, index: int) -> "RngState":
-        """Stable per-replicate stream: blake2b(seed, stream, index) -> 64 bits."""
-        return RngState(self.seed, int.from_bytes(_substream_digest(self.seed, self.stream, index), "little"))
-
-    def generators(self, count: int) -> Iterator[np.random.Generator]:
-        """`substream(i).generator()` for i = 0..count-1, re-keyed in place.
-
-        Every item is the same generator, re-keyed to substream i's Philox
-        key just before it is yielded, so draw from it before advancing.
-        Its draws are bit-identical to those of `substream(i).generator()`.
-        """
-        bitgen = np.random.Philox(0)
-        state = bitgen.state  # counter 0 and an empty buffer, as a new Philox has
-        gen = np.random.Generator(bitgen)
-        for start in range(0, count, _KEY_BLOCK):
-            digests = b"".join(
-                _substream_digest(self.seed, self.stream, i)
-                for i in range(start, min(start + _KEY_BLOCK, count))
-            )
-            for key in _philox_keys(self.seed, np.frombuffer(digests, "<u8")):
-                state["state"]["key"] = key
-                bitgen.state = state
-                yield gen
-
-
-def _substream_digest(seed: int, stream: int, index: int) -> bytes:
-    """blake2b(seed, stream, index): substream `index`'s stream, 8 little-endian bytes."""
-    packed = struct.pack("<QQQ", seed, stream, int(index) & _MASK64)
-    return hashlib.blake2b(packed, digest_size=8).digest()
-
-
-def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
-    """The hash constant before and after each of `calls` hashmix calls, as a column."""
-    h = [init]
-    for _ in range(calls):
-        h.append(h[-1] * mult & 0xFFFFFFFF)
-    return np.array(h, np.uint32)[:, None]
-
-
-# numpy's SeedSequence (O'Neill's seed_seq_fe, four uint32 pool words):
-# 4 + 12 hashmix calls while mixing the entropy into the pool, 4 while
-# reading out two uint64 words.
-_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_OUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
-_OTHER_WORDS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    # call k: xor constant k, multiply by constant k+1, fold the high half down
-    v = (values ^ consts[:-1]) * consts[1:]
-    return v ^ (v >> 16)
-
-
-def _philox_keys(seed: int, streams: np.ndarray) -> np.ndarray:
-    """The Philox key of `RngState(seed, s).generator()` for each s: (len, 2) uint64.
-
-    Equal to `SeedSequence(entropy=(seed, s)).generate_state(2, np.uint64)`.
-    The entropy words are the seed's (one below 2^32, else two) then s's low
-    and high words; SeedSequence pads entropy with zero words to the pool
-    size, so an s below 2^32, one word, gives the same pool.
-    """
-    words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
-    pool = np.zeros((4, streams.size), np.uint32)
-    pool[: len(words)] = np.array(words, np.uint32)[:, None]
-    pool[len(words)] = streams.astype(np.uint32)  # truncates to the low words
-    pool[len(words) + 1] = (streams >> 32).astype(np.uint32)
-    pool = _hashmix(pool, _MIX_HASH[:5])
-    for src, dst in enumerate(_OTHER_WORDS):
-        # pool[src] is mixed into the other three words by hashmix calls 4+3src..6+3src
-        h = _hashmix(pool[src], _MIX_HASH[4 + 3 * src : 8 + 3 * src])
-        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * h
-        pool[dst] = mixed ^ (mixed >> 16)
-    out = _hashmix(pool, _OUT_HASH).astype(np.uint64)
-    return np.stack((out[0] | (out[1] << 32), out[2] | (out[3] << 32)), axis=1)
+        """The named sibling stream `index`: blake2b(seed, stream, index) -> 64 bits."""
+        packed = struct.pack("<QQQ", self.seed, self.stream, int(index) & _MASK64)
+        return RngState(self.seed, int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "little"))
 
 
 @dataclass
@@ -260,6 +175,11 @@ def _dense_window(theta: float, n: int) -> int:
     return n if reach >= n else math.ceil(reach)
 
 
+def _key_rows(n: int) -> int:
+    """The most replicates whose (replicate, cell) keys r (n + 1) + c, 0 <= c <= n, fit in int64."""
+    return (1 << 63) // (n + 1)
+
+
 class _FellerHits:
     """The Feller successes of consecutive replicates, a block at a time.
 
@@ -286,12 +206,16 @@ class _FellerHits:
     Streams A, B and C are `rng.substream(0/1/2).generator()`, each read in
     replicate order, so the draws do not depend on how the replicates are
     split into calls or passes, and a longer run extends a shorter one. A
-    replicate cannot be drawn alone from its own substream. A pass holds at
-    most `_HIT_VALUES // (J + 2 sum_blocks L lambda_lo)` replicates: the
-    window's uniforms and two per expected point.
+    pass holds at most `_HIT_VALUES // (J + 2 sum_blocks L lambda_lo)`
+    replicates, the window's uniforms and two per expected point, and at
+    most `_key_rows(n)`, so that its (replicate, cell) keys fit in int64.
+    An n of 2^62 or more, past `sample_feller`'s position bound, is a
+    ValueError.
     """
 
     def __init__(self, rng: RngState, theta: float, n: int) -> None:
+        if n >= 1 << 62:
+            raise ValueError(f"n must be below 2^62, the Feller sampler's position bound, got {n}")
         self.theta, self.n = theta, n
         self.window = _dense_window(theta, n)
         lo, start = [], self.window
@@ -302,7 +226,7 @@ class _FellerHits:
         self.span = np.minimum(self.lo, n - self.lo)
         self.rate = np.log1p(theta / self.lo)
         self.mean = self.span * self.rate
-        self.rows = max(1, int(_HIT_VALUES // (self.window + 2.0 * float(self.mean.sum()))))
+        self.rows = min(max(1, int(_HIT_VALUES // (self.window + 2.0 * float(self.mean.sum())))), _key_rows(n))
         self.cells, self.counts, self.points = (rng.substream(s).generator() for s in range(3))
 
     def draw(self, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -143,18 +143,18 @@ class TestSample:
         assert code == 0
         assert "residual_bound" in out
 
-    # sha256 of stdout, recorded before partitions were stored as block
-    # sizes and multiplicities; a change of random stream updates them on purpose
+    # sha256 of stdout, recorded when the replicates moved to one stream; a
+    # change of random stream updates them on purpose
     @pytest.mark.parametrize(
         "argv,digest",
         [
             (
                 "sample --sampler feller --n 1000 --theta 2 --m 3 --seed 42 --b-max 5",
-                "1f89db21af51483937a755a98503b5c2fcef5788a7331dae08c253d8798fe24e",
+                "1ccf74008300b573d8c491cafea32ad005fc9d187bea49b8b3f4e8c46a7efe38",
             ),
             (
                 "sample --sampler crp --n 500 --theta 3 --m 4 --seed 7",
-                "80be71c76530201b6fe6d049ad85c9d70658a73536a306b56075bcf3e3a9ccdf",
+                "3898ea52977800ceb30895f49044885490eb0a9ded472edcd274f39e940a93f3",
             ),
         ],
     )
@@ -162,6 +162,20 @@ class TestSample:
         code, out, _ = run_cli(argv.split(), capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("draws", ["kn --n 300 --theta 2", "crp --n 300 --theta 2",
+                                       "feller --n 300 --theta 2 --b-max 3"])
+    def test_shorter_run_prints_the_first_rows(self, draws, capsys):
+        # the replicates are read in order from one stream: a rerun is
+        # byte-identical, and below its header line --m 3 starts --m 6
+        runs = {}
+        for m in (3, 3, 6):
+            code, out, _ = run_cli(f"sample --sampler {draws} --seed 5 --m {m}".split(), capsys)
+            assert code == 0
+            assert runs.setdefault(m, out) == out
+        short, long = (runs[m].splitlines()[1:] for m in (3, 6))
+        assert long[: len(short)] == short
+        assert long[len(short)].startswith("3,")
 
     def test_no_parsed_value_leaks_between_calls(self, capsys):
         argv = ["sample", "--sampler", "feller", "--n", "50", "--theta", "2", "--seed", "1"]
@@ -296,6 +310,15 @@ class TestFclt:
         assert summary["m"] == 1000
         assert summary["dense_window"] == 32  # 16 theta < n: thinned points past cell 31
 
+    @pytest.mark.parametrize("n,m", [(3 * 10**15, 4096), (10**17, 1000)])
+    def test_keys_fit_int64_at_huge_n(self, n, m, capsys):
+        # 4096 replicates' (replicate, cell) keys pass 2^63 at n = 3e15, so the
+        # block is cut to 3074 replicates, and to 92 at n = 1e17, where a
+        # replicate's weight n is past float64's exact integers
+        code, out, err = run_cli(f"fclt --which X4 --stat sup --theta 1 --m {m} --n {n}".split(), capsys)
+        assert code == 0, err
+        assert len(out.splitlines()) == 2 + m
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         argv = ["fclt", "--n", "400", "--theta", "1", "--m", "1000"]
         a = run_cli(argv + ["--out", str(tmp_path / "a.csv")], capsys)
@@ -344,6 +367,8 @@ class TestExitCodes:
             ("regime --coeff 1 --exponent 1 --mc 1000", "--n"),
             ("sample --sampler kn --n 10 --theta 2 --seed 18446744073709551617", "--seed:"),
             ("sample --sampler kn --n 10 --theta 2 --seed -1", "--seed:"),
+            (f"fclt --which X4 --stat sup --theta 1 --m 1000 --n {2**62}", "below 2^62"),
+            ("fclt --which X1 --stat l2 --theta 1 --m 1000 --n 20000000000000000000", "below 2^62"),
         ):
             code, out, err = run_cli(argv.split(), capsys)
             assert code == 1, argv

@@ -350,26 +350,19 @@ class TestDbwMc:
         assert a.se > 0.0
         assert a.bias_bound <= 1e-4
 
-    def test_prefix_property_of_substreams(self):
-        # replicate i uses substream i, so a longer run extends a shorter one
-        params = EsfParams(200, 1.0)
-        short = dbw_mc(params, 2, 400, RngState(55))
-        long = dbw_mc(params, 2, 800, RngState(55))
-        assert short.replicates == 400 and long.replicates == 800
-        # means cannot be equal by accident at these sizes unless the first
-        # 400 draws coincide; reconstruct the short mean from scratch
-        again = dbw_mc(params, 2, 400, RngState(55))
-        assert short.estimate == again.estimate
-
-    def test_matches_a_loop_over_substreams(self):
-        # the reference loop: replicate i draws from substream i
-        params, b, m, rng = EsfParams(250, 3.0), 3, 300, RngState(45)
-        draws = [sample_feller(params, rng.substream(i), b_max=b) for i in range(m)]
+    def test_matches_a_loop_over_one_stream(self):
+        # the reference loop: 800 `sample_feller` draws in order from one
+        # generator; a run of 400 replicates is exactly its first 400
+        params, b, rng = EsfParams(250, 3.0), 3, RngState(45)
+        gen = rng.generator()
+        draws = [sample_feller(params, gen, b_max=b) for _ in range(800)]
         x = np.array([np.abs(s.c_n.prefix(b) - s.c_inf).sum() for s in draws])
-        est = dbw_mc(params, b, m, rng)
-        mean = int(x.sum()) / m
-        var = (int((x * x).sum()) - m * mean * mean) / (m - 1)
-        assert (est.estimate, est.se, est.bias_bound) == (mean, math.sqrt(var / m), draws[-1].residual)
+        for m in (400, 800):
+            est = dbw_mc(params, b, m, rng)
+            mean = int(x[:m].sum()) / m
+            var = (int((x[:m] * x[:m]).sum()) - m * mean * mean) / (m - 1)
+            want = (m, mean, math.sqrt(var / m), draws[m - 1].residual)
+            assert (est.replicates, est.estimate, est.se, est.bias_bound) == want
 
     def test_estimate_within_bracket(self):
         # (n, theta, b) = (10000, 2, 1): closed-form bracket plus 4 SE slack

@@ -493,7 +493,7 @@ class TestMcFunctionals:
         params, rng = EsfParams(1000, 2.0), RngState(44)
         whole = mc_functionals(params, "X5", "l2", DEFAULT_EPS, 1000, rng)
         assert calls == [1000]
-        monkeypatch.setattr(paths, "_KEY_BLOCK", 300)
+        monkeypatch.setattr(paths, "_REPLICATE_BLOCK", 300)
         blocked = mc_functionals(params, "X5", "l2", DEFAULT_EPS, 1000, rng)
         assert calls == [1000, 300, 300, 300, 100]
         assert np.array_equal(blocked.values, whole.values)
@@ -503,6 +503,15 @@ class TestMcFunctionals:
         short = mc_functionals(params, "X1", "l2", DEFAULT_EPS, 4096, RngState(19))
         longer = mc_functionals(params, "X1", "l2", DEFAULT_EPS, 5000, RngState(19))
         assert np.array_equal(longer.values[:4096], short.values)
+
+    def test_blocks_keep_int64_keys_at_huge_n(self, monkeypatch):
+        # 4096 replicates' keys of about 4096 (n + 1) pass 2^63 at n = 3e15:
+        # the blocks and passes are cut to 3074 replicates, and equal smaller ones
+        params = EsfParams(3 * 10**15, 1.0)
+        whole = mc_functionals(params, "X4", "sup", DEFAULT_EPS, 4096, RngState(23))
+        monkeypatch.setattr(paths, "_REPLICATE_BLOCK", 1000)
+        smaller = mc_functionals(params, "X4", "sup", DEFAULT_EPS, 4096, RngState(23))
+        assert np.array_equal(smaller.values, whole.values)
 
     @pytest.mark.parametrize("n,theta", [(1000, 2.0), (200, 30.0)])
     def test_values_do_not_depend_on_the_pass_size(self, n, theta, monkeypatch):

@@ -5,6 +5,7 @@ is cross-checked with an exact rational product, and the Monte Carlo layers
 are pinned by seed against their limiting distributions.
 """
 
+import collections
 import math
 import types
 from fractions import Fraction
@@ -15,6 +16,9 @@ import pytest
 from scipy.special import ndtr
 
 import ewens.regimes
+from ewens.checks import run_checks
+from ewens.cli import main
+from ewens.distances import dbw_mc
 from ewens.laws import EsfParams, Pmf, kn_pmf, singleton_pmf
 from ewens.paths import ks_distance
 from ewens.regimes import (
@@ -231,13 +235,37 @@ class TestZnMc:
         short = zn_mc_distribution(rule, 2000, 1000, rng)
         assert np.array_equal(zn_mc_distribution(rule, 2000, 2500, rng)[:1000], short)
 
-    def test_reads_no_substream(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("zn_mc_distribution walked substreams")
+    def test_reads_no_substream(self, monkeypatch, capsys):
+        # a Monte Carlo loop reads its replicates in order from its state's
+        # own stream, so its generator set-ups do not grow with m; the loops
+        # that drew replicate i from substream(i) made one set-up a replicate
+        calls = collections.Counter()
+        for name in ("substream", "generator"):
 
-        monkeypatch.setattr(RngState, "substream", refuse)
-        monkeypatch.setattr(RngState, "generators", refuse)
-        assert zn_mc_distribution(GrowthRule(1.0, 0.5), 2000, 1000, RngState(47)).size == 1000
+            def counting(self, *args, _name=name, _method=getattr(RngState, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(RngState, name, counting)
+
+        def setups(run, m):
+            calls.clear()
+            run(m)
+            return dict(calls)
+
+        loops = [
+            (1000, lambda m: zn_mc_distribution(GrowthRule(1.0, 0.5), 2000, m, RngState(47))),
+            (100, lambda m: dbw_mc(EsfParams(60, 2.0), 2, m, RngState(48))),
+        ]
+        for s in ("kn", "crp", "feller"):
+            loops.append((1, lambda m, s=s: main(f"sample --sampler {s} --n 60 --theta 2 --m {m}".split())))
+        for m, run in loops:
+            assert setups(run, m) == setups(run, 3 * m) == {"generator": 1}
+        capsys.readouterr()
+        # the quick registry's loops hold a fixed m: 7 set-ups, where the
+        # per-replicate loops made 74, 70 of them on substreams
+        quick = setups(lambda _: run_checks(quick=True), 0)
+        assert "substream" not in quick and quick["generator"] <= 10
 
     def test_draws_land_on_positive_mass_when_the_cdf_ends_below_one(self, monkeypatch):
         # a law with zero entries inside and at its end whose cumulative sum

@@ -19,7 +19,6 @@ from ewens.sampling import (
     _dense_window,
     _FellerHits,
     _geometric,
-    _philox_keys,
     _successes,
     sample_crp,
     sample_feller,
@@ -85,51 +84,26 @@ class TestRngState:
 
 
 class TestGenerators:
-    def test_keys_match_numpy_seed_sequence(self):
-        # seeds and streams of one and two 32-bit words, zero included: every
-        # entropy length SeedSequence sees, 2 to 4 words
-        edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-        rnd = np.random.default_rng(0).integers(0, 2**64, 6, dtype=np.uint64).tolist()
-        streams = np.array(edges + rnd, dtype=np.uint64)
-        for seed in edges + rnd:
-            keys = _philox_keys(seed, streams)
-            for s, key in zip(streams.tolist(), keys):
-                want = np.random.SeedSequence(entropy=(seed, s)).generate_state(2, np.uint64)
-                assert np.array_equal(key, want), (seed, s)
-
-    @pytest.mark.parametrize("seed,stream", [(0, 0), (2**32, 2**64 - 1), (DEFAULT_SEED, 3)])
-    def test_draws_match_substream_generators(self, seed, stream):
-        root = RngState(seed, stream)
-        for i, gen in enumerate(root.generators(60)):
-            ref = root.substream(i).generator()
-            # an odd count of int32 draws leaves a buffered half-word
-            # (has_uint32) behind, which the next re-keying must clear
-            assert np.array_equal(gen.integers(0, 1000, 5, dtype=np.int32), ref.integers(0, 1000, 5, dtype=np.int32))
-            assert np.array_equal(gen.random(3), ref.random(3))
-            assert gen.beta(2.5, 7.0) == ref.beta(2.5, 7.0)
-            assert np.array_equal(gen.standard_normal(4), ref.standard_normal(4))
-
     def test_longer_run_extends_a_shorter_one(self):
-        root = RngState(17)
-        short = [g.random() for g in root.generators(100)]
-        long = [g.random() for g in root.generators(1000)]
-        assert long[:100] == short
+        # a sampler reads only the generator it is given, so a loop of draws
+        # on one stream is a prefix of every longer loop on it
+        params = EsfParams(60, 1.5)
 
-    def test_keys_continue_across_hashing_blocks(self):
-        root = RngState(8)
-        for i, gen in enumerate(root.generators(4100)):
-            if i >= 4094:
-                assert gen.random() == root.substream(i).generator().random(), i
+        def run(m):
+            gen = RngState(17).generator()
+            return [
+                (sample_kn(params, gen), sample_crp(params, gen), sample_feller(params, gen, b_max=2).c_inf.tolist())
+                for _ in range(m)
+            ]
+
+        assert run(300)[:100] == run(100)
 
     def test_samplers_take_a_generator(self):
         params = EsfParams(200, 1.5)
-        gen = next(RngState(4).generators(1))
-        assert sample_kn(params, gen) == sample_kn(params, RngState(4).substream(0))
-        gen = next(RngState(4).generators(1))
-        assert sample_crp(params, gen) == sample_crp(params, RngState(4).substream(0))
-        gen = next(RngState(4).generators(1))
-        a = sample_feller(params, gen, b_max=3)
-        b = sample_feller(params, RngState(4).substream(0), b_max=3)
+        assert sample_kn(params, RngState(4).generator()) == sample_kn(params, RngState(4))
+        assert sample_crp(params, RngState(4).generator()) == sample_crp(params, RngState(4))
+        a = sample_feller(params, RngState(4).generator(), b_max=3)
+        b = sample_feller(params, RngState(4), b_max=3)
         assert a.c_n == b.c_n and np.array_equal(a.c_inf, b.c_inf)
 
 
@@ -363,6 +337,24 @@ class TestFellerPositions:
         rep = np.concatenate([r + first for (r, _), first in zip(parts, (0, 300, 301))])
         assert np.array_equal(rep, whole[0])
         assert np.array_equal(np.concatenate([p for _, p in parts]), whole[1])
+
+    def test_passes_keep_int64_keys_at_huge_n(self):
+        # 9760 replicates a pass by _HIT_VALUES, but their keys of about
+        # rows n pass 2^63 at n = 1e15: the passes are cut to 9223 replicates,
+        # and equal smaller calls concatenated
+        n, m = 10**15, 20000
+        rep, pos = _FellerHits(RngState(1), 1.0, n).draw(m)
+        hits = _FellerHits(RngState(1), 1.0, n)
+        parts = [hits.draw(1000) for _ in range(m // 1000)]
+        assert np.array_equal(rep, np.concatenate([r + 1000 * i for i, (r, _) in enumerate(parts)]))
+        assert np.array_equal(pos, np.concatenate([p for _, p in parts]))
+        firsts = np.flatnonzero(np.diff(rep, prepend=-1))
+        assert firsts.size == m and not pos[firsts].any() and pos.max() < n
+        assert np.all((np.diff(pos) > 0) | (np.diff(rep) > 0))
+
+    def test_position_bound_is_refused(self):
+        with pytest.raises(ValueError, match=r"^n must be below 2\^62.*got 4611686018427387904$"):
+            _FellerHits(RngState(1), 1.0, 2**62)
 
 
 class TestCrpSampler:

@@ -350,19 +350,42 @@ class TestDbwMc:
         assert a.se > 0.0
         assert a.bias_bound <= 1e-4
 
-    def test_matches_a_loop_over_one_stream(self):
-        # the reference loop: 800 `sample_feller` draws in order from one
-        # generator; a run of 400 replicates is exactly its first 400
-        params, b, rng = EsfParams(250, 3.0), 3, RngState(45)
+    @staticmethod
+    def _reference_loop(params, b, count, rng):
+        # `sample_feller` draws in order from the one generator of `rng`;
+        # returns the (replicates, estimate, se, bias_bound) of each prefix
         gen = rng.generator()
-        draws = [sample_feller(params, gen, b_max=b) for _ in range(800)]
+        draws = [sample_feller(params, gen, b_max=b) for _ in range(count)]
         x = np.array([np.abs(s.c_n.prefix(b) - s.c_inf).sum() for s in draws])
-        for m in (400, 800):
-            est = dbw_mc(params, b, m, rng)
+
+        def stats(m):
             mean = int(x[:m].sum()) / m
             var = (int((x[:m] * x[:m]).sum()) - m * mean * mean) / (m - 1)
-            want = (m, mean, math.sqrt(var / m), draws[m - 1].residual)
+            return (m, mean, math.sqrt(var / m), draws[m - 1].residual)
+
+        return stats
+
+    def test_matches_a_loop_over_substreams(self):
+        # each named sibling stream substream(k) is one stream of its own:
+        # dbw_mc on it equals the reference loop over its generator
+        params, b, m, rng = EsfParams(250, 3.0), 3, 300, RngState(45)
+        seen = set()
+        for k in (0, 7):
+            want = self._reference_loop(params, b, m, rng.substream(k))(m)
+            est = dbw_mc(params, b, m, rng.substream(k))
             assert (est.replicates, est.estimate, est.se, est.bias_bound) == want
+            seen.add(est.estimate)
+        assert len(seen) == 2
+
+    def test_prefix_property_of_substreams(self):
+        # one reference loop of 800 draws: a run of 400 replicates is exactly
+        # its first 400, and a run of 800 the whole of it
+        params, b, rng = EsfParams(250, 3.0), 3, RngState(45)
+        for sub in (rng, rng.substream(3)):
+            stats = self._reference_loop(params, b, 800, sub)
+            short, long = dbw_mc(params, b, 400, sub), dbw_mc(params, b, 800, sub)
+            assert (short.replicates, short.estimate, short.se, short.bias_bound) == stats(400)
+            assert (long.replicates, long.estimate, long.se, long.bias_bound) == stats(800)
 
     def test_estimate_within_bracket(self):
         # (n, theta, b) = (10000, 2, 1): closed-form bracket plus 4 SE slack

@@ -4,6 +4,10 @@ Each check re-verifies one invariant from the library's contracts: mass
 normalization, dual-route agreement, sandwich containment, sampler
 determinism, and the closed-form path functionals. `--quick` runs the
 sub-second subset; the full run adds the Monte Carlo cross-validations.
+
+A check enumerates each (n, theta) it needs once and reads every prefix
+length, marginal and tilt from that `bruteforce.PartitionTable`; nothing
+is kept between calls, so each run pays for its own oracles.
 """
 
 from __future__ import annotations
@@ -32,15 +36,14 @@ class CheckResult:
 def _check_esf_mass() -> str:
     worst = 0.0
     for theta in (0.7, 1.0, 2.5):
-        table = bruteforce.enumerate_esf(EsfParams(10, theta))
-        total = math.fsum(pr for _, pr in table.entries)
+        total = math.fsum(bruteforce.enumerate_esf(EsfParams(10, theta)).probs)
         worst = max(worst, abs(total - 1.0))
     return f"max |mass - 1| = {worst:.2e}"
 
 
 def _check_partition_counts() -> str:
     for n in range(1, 17):
-        got = sum(1 for _ in laws.partitions_of(n))
+        got = len(laws.partitions_of(n))
         if got != _PARTITION_COUNTS[n]:
             raise AssertionError(f"p({n}) = {got}, expected {_PARTITION_COUNTS[n]}")
     return "p(n) matches for n <= 16"
@@ -76,11 +79,10 @@ def _check_conditioned() -> str:
     for theta in (0.6, 1.0, 3.0):
         p = EsfParams(8, theta)
         table = bruteforce.enumerate_esf(p)
-        for part, pr in table.entries:
-            full = laws.conditioned_joint_prob(p, 8, tuple(int(c) for c in part.counts))
+        for counts, pr in zip(table.counts, table.probs):
+            full = laws.conditioned_joint_prob(p, 8, counts)
             worst = max(worst, abs(full - pr))
-        marg = bruteforce.joint_prefix_law(p, 2)
-        for prefix, pr in marg.items():
+        for prefix, pr in table.prefix_law(2).items():
             got = laws.conditioned_joint_prob(p, 2, prefix)
             worst = max(worst, abs(got - pr))
     if worst > 1e-10:
@@ -89,9 +91,8 @@ def _check_conditioned() -> str:
 
 
 def _check_tilting() -> str:
-    worst = 0.0
-    for x in (0.5, 2.0):
-        worst = max(worst, bruteforce.tilted_conditioning_check(EsfParams(8, 1.3), x))
+    table = bruteforce.enumerate_esf(EsfParams(8, 1.3))
+    worst = max(table.tilt_deviation(x) for x in (0.5, 2.0))
     if worst > 1e-10:
         raise AssertionError(f"tilting deviation {worst:.2e}")
     return f"max tilting deviation = {worst:.2e}"
@@ -99,12 +100,11 @@ def _check_tilting() -> str:
 
 def _check_singleton() -> str:
     p6 = EsfParams(6, 1.7)
-    table = bruteforce.enumerate_esf(p6)
+    truth = bruteforce.enumerate_esf(p6).prefix_law(1)
     law = laws.singleton_pmf(p6)
     worst = 0.0
     for k in range(7):
-        truth = math.fsum(pr for part, pr in table.entries if part.counts[0] == k)
-        worst = max(worst, abs(law.prob(k) - truth))
+        worst = max(worst, abs(law.prob(k) - truth.get((k,), 0.0)))
     for n in (25, 40):
         law = laws.singleton_pmf(EsfParams(n, 0.9))
         if float(law.probs.min()) < 0.0:
@@ -174,9 +174,8 @@ def _check_sampler_laws() -> str:
         for name, seed, draw in samplers:
             gen = sampling.RngState(seed).generator()
             counts = Counter(draw(p, gen).as_tuple() for _ in range(m))
-            tvs[name, theta] = 0.5 * math.fsum(
-                abs(counts[part.as_tuple()] / m - pr) for part, pr in bruteforce.enumerate_esf(p).entries
-            )
+            table = bruteforce.enumerate_esf(p)
+            tvs[name, theta] = 0.5 * math.fsum(abs(counts[c] / m - pr) for c, pr in zip(table.counts, table.probs))
     detail = ", ".join(f"TV({name}, theta={theta})={tv:.4f}" for (name, theta), tv in tvs.items())
     if max(tvs.values()) > 0.02:
         raise AssertionError(f"sampler TV too large: {detail}")
@@ -187,10 +186,10 @@ def _check_db_oracle() -> str:
     worst = 0.0
     for n in (4, 7, 9):
         for theta in (0.5, 1.0, 2.0):
+            p = EsfParams(n, theta)
+            table = bruteforce.enumerate_esf(p)
             for b in (1, n // 2, n - 1):
-                de = distances.db_exact(EsfParams(n, theta), b).value
-                bf = bruteforce.db_bruteforce(EsfParams(n, theta), b)
-                worst = max(worst, abs(de - bf))
+                worst = max(worst, abs(distances.db_exact(p, b).value - table.poisson_tv(b)))
     if worst > 1e-10:
         raise AssertionError(f"db mismatch {worst:.2e}")
     return f"max |db_exact - bruteforce| = {worst:.2e}"

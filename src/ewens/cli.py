@@ -121,10 +121,8 @@ def _run_pmf(ns: argparse.Namespace) -> int:
         raise ValueError("--method applies to --dist kn only")
     meta = {"dist": ns.dist, "n": p.n, "theta": p.theta}
     if ns.dist == "esf":
-        rows = [
-            [" ".join(str(int(c)) for c in part.counts), float(pr)]
-            for part, pr in bruteforce.enumerate_esf(p).entries
-        ]
+        table = bruteforce.enumerate_esf(p)
+        rows = [[" ".join(map(str, c)), pr] for c, pr in zip(table.counts, table.probs)]
         _table(ns, ["counts", "prob"], rows, meta)
         return 0
     if ns.method == "stirling":

@@ -13,11 +13,12 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import digamma, lambertw, logsumexp
+from scipy.special import digamma, lambertw
 
 from .laws import (
     EsfParams,
     Pmf,
+    _logsumexp,
     conditioning_log_ratio,
     failure_probs,
     kn_mean_var,
@@ -486,7 +487,7 @@ def ld_tail_bound(theta: float, b: int, w: float) -> LdTail:
     # reaches 2 a0 + 20
     for cut in (a0 + 1, 2 * a0 + 20):
         m_cut = _t0b_window(theta, b, log_eps, cut)
-        inside = float(logsumexp(tlm_logpmf(theta, 0, b, m_cut)[a0:]))
+        inside = _logsumexp(tlm_logpmf(theta, 0, b, m_cut)[a0:])
         remainder = _ld_rate(theta, (m_cut + 1) / b) - theta
         if remainder < inside + math.log(1e-16):
             break

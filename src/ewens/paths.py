@@ -9,7 +9,8 @@ sqrt(theta H_j) is monotone in j, so its sup comes from run endpoints, and
 with w_j = log(1 + 1/j) its L2 sum over a run is S^2/theta (A_b - A_{a-1})
 - 2 S log((b+1)/a) + theta (C_b - C_{a-1}) from the prefix sums
 A_j = sum_{i<=j} w_i/H_i and C_j = sum_{i<=j} w_i H_i. H, A and C sit in
-one grow-only table of max n entries, built once.
+one grow-only table of max n entries, built once and kept for the process's
+lifetime at 40 bytes an entry, so X2 is refused for n > `X2_MAX_N`.
 
 Cost model: `_stats` computes every functional for many paths at once,
 laid out back to back, and `functional_stat` is `_stats` on one path.
@@ -39,6 +40,8 @@ MIN_GRID_M = 2**10  # reference_functionals
 # replicates per `_FellerHits.draw` and `_stats` call in `mc_functionals`,
 # which holds O(_REPLICATE_BLOCK K_n) besides the replicates' values
 _REPLICATE_BLOCK = 4096
+# the largest n of X2's harmonic table: 40 bytes an entry, about 400 MB
+X2_MAX_N = 10**7
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,11 @@ class _HarmonicTable:
         self.c = np.zeros(1, dtype=np.longdouble)
 
     def upto(self, n: int) -> _HarmonicTable:
+        if n > X2_MAX_N:
+            raise ValueError(
+                f"X2 keeps a harmonic table of 40 bytes per j <= n for the process's lifetime, "
+                f"so n must be at most {X2_MAX_N}, got {n}"
+            )
         have = self.h.size - 1
         if n <= have:
             return self
@@ -393,6 +401,8 @@ def mc_functionals(
     _check(which, eps)
     n, theta = params.n, params.theta
     _check_n(n)
+    if which == "X2":
+        _TABLE.upto(n)  # refuses n > X2_MAX_N before anything is drawn
     values = np.empty(replicates, dtype=np.float64)
     hits = _FellerHits(rng, theta, n)
     block = min(_REPLICATE_BLOCK, _key_rows(n))

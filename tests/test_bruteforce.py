@@ -35,6 +35,16 @@ class TestEnumerateEsf:
         for part, p in table.entries:
             assert math.isclose(p, esf_pmf(params, part), rel_tol=1e-13)
 
+    @pytest.mark.parametrize("theta", [1e-9, 0.3, 1.0, 2.5, 1e4])
+    def test_rows_equal_pointwise_pmf_bit_for_bit(self, theta):
+        # one normaliser per table, then esf_pmf's terms in its order
+        for n in range(1, 17):
+            params = EsfParams(n, theta)
+            table = enumerate_esf(params)
+            assert table.counts == partitions_of(n)
+            assert table.probs == [esf_pmf(params, Partition(c)) for c in table.counts]
+            assert [(part.as_tuple(), p) for part, p in table.entries] == list(zip(table.counts, table.probs))
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             enumerate_esf(EsfParams(17, 1.0))
@@ -56,6 +66,13 @@ class TestJointPrefixLaw:
     def test_mass_one(self):
         law = joint_prefix_law(EsfParams(9, 2.0), 4)
         assert math.isclose(math.fsum(law.values()), 1.0, rel_tol=1e-12)
+
+    def test_table_answers_every_b_as_the_wrappers_do(self):
+        params = EsfParams(9, 1.3)
+        table = enumerate_esf(params)
+        for b in range(1, 10):
+            assert table.prefix_law(b) == joint_prefix_law(params, b)
+            assert table.poisson_tv(b) == db_bruteforce(params, b)
 
 
 class TestDbBruteforce:

@@ -326,6 +326,12 @@ class TestFclt:
         assert a[1] == b[1]
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_x2_past_its_table_exits_one(self, capsys):
+        # the table would take 40 GB at n = 1e9; refused before any allocation
+        code, out, err = run_cli(["fclt", "--which", "X2", "--n", "1000000000", "--theta", "2"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("ewens: error: X2 keeps a harmonic table"), err
+
 
 class TestCheckCommand:
     def test_quick_suite_passes(self, capsys):

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import ewens.laws
 from ewens.bruteforce import kn_stirling_pmf, stirling_first_row, tilted_conditioning_check
 from ewens.laws import (
+    _logsumexp,
     _tlm_log,
     EsfParams,
     Partition,
@@ -123,7 +124,33 @@ class TestPartition:
             Partition([1, 1, 0]).prefix(b)
 
 
+def recursive_partitions(n):
+    """Partitions of n by recursion on the largest part, then a sort: the
+    generator `partitions_of` replaced, kept as its oracle."""
+
+    def gen(remaining, max_part):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            for rest in gen(remaining - part, part):
+                yield (part,) + rest
+
+    out = []
+    for parts in gen(n, n):
+        c = [0] * n
+        for p in parts:
+            c[p - 1] += 1
+        out.append(tuple(c))
+    out.sort(key=lambda c: tuple(reversed(c)))
+    return out
+
+
 class TestPartitionsOf:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_the_recursive_oracle_in_order(self, n):
+        assert partitions_of(n) == recursive_partitions(n)
+
     def test_counts_match_partition_function(self):
         # p(n) for n = 1..16
         expected = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
@@ -133,6 +160,32 @@ class TestPartitionsOf:
     def test_every_tuple_is_a_partition(self):
         for counts in partitions_of(9):
             assert sum((j + 1) * aj for j, aj in enumerate(counts)) == 9
+
+
+class TestLogsumexp:
+    """`_logsumexp` is scipy's algorithm without its dispatch: equal to scipy, not close."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_scipy_on_random_arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        for size in (1, 2, 3, 30, 1000, 10**4, 10**5, 10**6):
+            x = rng.normal(rng.normal(0.0, 100.0), rng.choice([1e-3, 1.0, 30.0, 700.0]), size)
+            if seed % 2:
+                x[rng.random(size) < 0.2] = -np.inf
+            if seed % 4 >= 2 and size > 1:
+                x[rng.integers(0, size, 3)] = x.max()  # ties at the max
+            assert _logsumexp(x) == float(scipy.special.logsumexp(x)), size
+
+    @pytest.mark.parametrize(
+        "x",
+        [[-3.5], [-np.inf], [-np.inf] * 4, [0.0, -np.inf], [2.0, 2.0, 2.0], [1e300, 1e300], [-1e300, -np.inf, -1e300]],
+    )
+    def test_equals_scipy_at_the_edges(self, x):
+        x = np.array(x)
+        assert _logsumexp(x) == float(scipy.special.logsumexp(x))
+
+    def test_all_minus_infinity_is_minus_infinity(self):
+        assert _logsumexp(np.full(5, -np.inf)) == -math.inf
 
 
 class TestKnPmf:

@@ -294,6 +294,13 @@ class TestX2AgainstDenseRoute:
         assert sup == sup_d
         assert math.isclose(l2, l2_d, rel_tol=1e-12)
 
+    def test_refused_past_the_table_cap_before_allocating(self):
+        have = paths._TABLE.h.size
+        params = EsfParams(paths.X2_MAX_N + 1, 2.0)
+        with pytest.raises(ValueError, match="at most 10000000"):
+            mc_functionals(params, "X2", "sup", DEFAULT_EPS, 1000, RngState(1))
+        assert paths._TABLE.h.size == have
+
     def test_table_growth_leaves_results_unchanged(self):
         # the prefix table is built chunk by chunk from the previous chunk's
         # last entry, so an entry cannot depend on how far the table grew

@@ -184,9 +184,6 @@ class TestLogsumexp:
         x = np.array(x)
         assert _logsumexp(x) == float(scipy.special.logsumexp(x))
 
-    def test_all_minus_infinity_is_minus_infinity(self):
-        assert _logsumexp(np.full(5, -np.inf)) == -math.inf
-
 
 class TestKnPmf:
     def test_hand_worked_n3_theta2(self):

@@ -79,11 +79,10 @@ def _check_conditioned() -> str:
     for theta in (0.6, 1.0, 3.0):
         p = EsfParams(8, theta)
         table = bruteforce.enumerate_esf(p)
-        for counts, pr in zip(table.counts, table.probs):
-            full = laws.conditioned_joint_prob(p, 8, counts)
-            worst = max(worst, abs(full - pr))
-        for prefix, pr in table.prefix_law(2).items():
-            got = laws.conditioned_joint_prob(p, 2, prefix)
+        full = laws.conditioned_prefix_probs(p, 8, table.counts)
+        prefix_law = table.prefix_law(2)
+        prefixes = laws.conditioned_prefix_probs(p, 2, prefix_law)
+        for got, pr in zip(full + prefixes, list(table.probs) + list(prefix_law.values())):
             worst = max(worst, abs(got - pr))
     if worst > 1e-10:
         raise AssertionError(f"conditioning mismatch {worst:.2e}")
@@ -318,14 +317,19 @@ def _check_fclt_exact() -> str:
     return f"L2 closed forms match quadrature and the X2 grid sum to {worst:.1e}; X4 pinned at u=1"
 
 
-def _check_reference_bridge() -> str:
-    ref = paths.reference_functionals(
-        "X4", "sup", 0.01, 2**12, 10**4, sampling.RngState(5)
-    )
-    ks = paths.ks_distance(ref, paths.kolmogorov_cdf)
-    if ks > 0.03:
-        raise AssertionError(f"reference bridge KS {ks:.4f} > 0.03")
-    return f"sup|bridge| vs closed-form cdf: KS = {ks:.4f}"
+def _check_reference_laws() -> str:
+    # one simulation per law: X2's reference walks are X1's, bit for bit
+    laws_once: dict = {}
+    for pair, cdf in paths.EXACT_REFERENCES.items():
+        laws_once.setdefault(cdf, pair)
+    found = []
+    for cdf, (which, stat) in laws_once.items():
+        ref = paths.reference_functionals(which, stat, 0.01, 2**12, 10**4, sampling.RngState(5))
+        ks = paths.ks_distance(ref, cdf)
+        if ks > 0.03:
+            raise AssertionError(f"simulated {which}-{stat} reference vs {cdf.__name__}: KS {ks:.4f} > 0.03")
+        found.append(f"{which}-{stat} {ks:.4f}")
+    return f"simulated references vs closed-form cdfs, KS: {', '.join(found)}"
 
 
 def _check_zn_normal_mini() -> str:
@@ -359,7 +363,7 @@ CHECKS: list[tuple[str, bool, Callable[[], str]]] = [
     ("sigma2_variance_gap", True, _check_sigma2_gap),
     ("c2_atom_mass", True, _check_c2_atoms),
     ("fclt_closed_forms", True, _check_fclt_exact),
-    ("brownian_reference", False, _check_reference_bridge),
+    ("brownian_reference", False, _check_reference_laws),
     ("zn_normal_mini", False, _check_zn_normal_mini),
 ]
 

@@ -316,9 +316,10 @@ def _run_fclt(ns: argparse.Namespace) -> int:
     which = ns.which
     stat = ns.stat
     sample = paths.mc_functionals(p, which, stat, ns.eps, ns.m, RngState(seed))
-    if which == "X4" and stat == "sup":
-        ks = paths.ks_distance(sample, paths.kolmogorov_cdf)
-        reference = "kolmogorov_cdf"
+    cdf = paths.EXACT_REFERENCES.get((which, stat))
+    if cdf is not None:
+        ks = paths.ks_distance(sample, cdf)
+        reference = cdf.__name__
     else:
         eps_ref = ns.eps / math.log(p.n)
         ref = paths.reference_functionals(
@@ -450,8 +451,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--stat", choices=("sup", "l2"), default="sup")
     sp.add_argument("--m", type=_at_least(paths.MIN_REPLICATES), default=2000)
     sp.add_argument("--eps", type=float, default=paths.DEFAULT_EPS)
-    sp.add_argument("--grid-m", type=_at_least(paths.MIN_GRID_M), default=2**12)
-    sp.add_argument("--ref-m", type=_at_least(paths.MIN_REF_REPLICATES), default=10**4)
+    sp.add_argument("--grid-m", type=_at_least(paths.MIN_GRID_M), default=2**12,
+                    help="grid of the simulated reference (X3 and X5 only)")
+    sp.add_argument("--ref-m", type=_at_least(paths.MIN_REF_REPLICATES), default=10**4,
+                    help="replicates of the simulated reference (X3 and X5 only)")
     sp.add_argument("--ks-tol", type=float, default=0.05)
     sp.add_argument("--seed", type=_seed_arg)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -460,25 +460,39 @@ def t0n_log(params: EsfParams) -> float:
 def conditioned_joint_prob(params: EsfParams, b: int, a_b: Sequence[int]) -> float:
     """P(C_1^n = a_1, ..., C_b^n = a_b) for a prefix of cycle counts.
 
+    `conditioned_prefix_probs` of this one prefix.
+    """
+    return conditioned_prefix_probs(params, b, [a_b])[0]
+
+
+def conditioned_prefix_probs(params: EsfParams, b: int, prefixes: Iterable[Sequence[int]]) -> list[float]:
+    """P(C_1^n = a_1, ..., C_b^n = a_b) for each prefix (a_1, ..., a_b) given.
+
     Uses the conditioning relation: the prefix law equals
     P(Z_b = a_b) * P(T_{bn} = n - a) / P(T_{0n} = n) with a = sum_j j*a_j,
     whose normalisers e^{-theta H_b} e^{-theta(H_n - H_b)} / e^{-theta H_n}
-    cancel exactly; returns 0 when a > n.
+    cancel exactly; 0 where a > n. One `conditioning_log_ratio` serves
+    every prefix.
     """
     n, theta = params.n, params.theta
     if b != int(b) or not 1 <= b <= n:
         raise ValueError(f"b must be in 1..{n}, got {b!r}")
     b = int(b)
-    a_b = [int(v) for v in a_b]
-    if len(a_b) != b:
-        raise ValueError(f"prefix has length {len(a_b)}, expected b = {b}")
-    if any(v < 0 for v in a_b):
-        raise ValueError("prefix counts must be nonnegative")
-    a = sum(j * v for j, v in enumerate(a_b, start=1))
-    if a > n:
-        return 0.0
-    log_z = math.fsum(
-        v * (math.log(theta) - math.log(j)) - math.lgamma(v + 1)
-        for j, v in enumerate(a_b, start=1)
-    )
-    return math.exp(log_z + conditioning_log_ratio(theta, b, n)[a])
+    ratio = conditioning_log_ratio(theta, b, n)
+    out = []
+    for a_b in prefixes:
+        a_b = [int(v) for v in a_b]
+        if len(a_b) != b:
+            raise ValueError(f"prefix has length {len(a_b)}, expected b = {b}")
+        if any(v < 0 for v in a_b):
+            raise ValueError("prefix counts must be nonnegative")
+        a = sum(j * v for j, v in enumerate(a_b, start=1))
+        if a > n:
+            out.append(0.0)
+            continue
+        log_z = math.fsum(
+            v * (math.log(theta) - math.log(j)) - math.lgamma(v + 1)
+            for j, v in enumerate(a_b, start=1)
+        )
+        out.append(math.exp(log_z + ratio[a]))
+    return out

@@ -19,6 +19,14 @@ laid out back to back, and `functional_stat` is `_stats` on one path.
 numpy calls, so a replicate costs the min(n, ceil(16 theta)) uniforms of
 its dense window, two uniforms per thinned Poisson point past it, and
 O(K_n) vectorised work; one `_stats` call serves the block.
+
+References: six (process, stat) pairs have closed-form comparison laws,
+held in `EXACT_REFERENCES` as elementwise cdfs. X4's sup is Kolmogorov's
+law and X4's L2 Cramér-von Mises' (Anderson & Darling 1952); X1's sup and
+L2 are those of sup |B| and int B^2 over [0, 1]. X2 is compared with X1's
+laws, as its simulated reference always was, although X2 tends to
+B(u)/sqrt(u) and not to B(u). The weighted windows of X3 and X5 have no
+closed form here: `reference_functionals` simulates them on a grid.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
+from scipy.special import erfc, kolmogorov, kv
 
 from .laws import EsfParams, Partition
 from .sampling import RngState, _FellerHits, _key_rows
@@ -40,6 +48,9 @@ MIN_GRID_M = 2**10  # reference_functionals
 # replicates per `_FellerHits.draw` and `_stats` call in `mc_functionals`,
 # which holds O(_REPLICATE_BLOCK K_n) besides the replicates' values
 _REPLICATE_BLOCK = 4096
+# bytes of normals per block of `reference_functionals` walks: rows of
+# grid_m + 1 doubles, so a block's two buffers stay in a core's L2 cache
+_REFERENCE_BLOCK_BYTES = 1 << 19
 # the largest n of X2's harmonic table: 40 bytes an entry, about 400 MB
 X2_MAX_N = 10**7
 
@@ -425,7 +436,15 @@ def reference_functionals(
     X1/X2/X3 use Brownian motion, X4/X5 the bridge; X3 weights by sqrt(u)
     and X5 by sqrt(u(1-u)). eps is the absolute u-cutoff of the weighted
     windows (mirror an mc run by passing its eps / log n). Paths live on a
-    uniform grid: sups by grid maxima, L2 by the trapezoid rule.
+    uniform grid: sups by grid maxima, L2 by the trapezoid rule. X2 is
+    simulated exactly as X1, with unit weight, which is not X2's limit.
+
+    The walks are built a block of rows at a time, about
+    `_REFERENCE_BLOCK_BYTES` of normals each, in two preallocated buffers,
+    so memory is O(_REFERENCE_BLOCK_BYTES + replicates) at any grid_m. A
+    row's value depends only on its own normals, which the generator fills
+    in order, so the values do not depend on the block size. The pairs in
+    `EXACT_REFERENCES` have closed-form laws; `fclt` simulates only X3 and X5.
     """
     if which not in _PROCESSES:
         raise ValueError(f"unknown process {which!r}")
@@ -444,45 +463,134 @@ def reference_functionals(
     t_sub = t[lo:hi]
     # squared weight on the window; X1, X2 and X4 have unit weight
     w2_sub = {"X3": t_sub, "X5": t_sub * (1.0 - t_sub)}.get(which)
+    width = hi - lo
     gen = rng.generator()
     values = np.empty(replicates, dtype=np.float64)
     scale = 1.0 / math.sqrt(grid_m)
-    chunk = max(1, min(replicates, (1 << 25) // (grid_m + 1)))
-    walks = np.empty((chunk, grid_m + 1))
+    rows = max(1, min(replicates, _REFERENCE_BLOCK_BYTES // (8 * grid_m)))
+    # a block's normals; once summed into the walks, scratch for the bridge
+    # term and the trapezoids
+    spare = np.empty(rows * (grid_m + 1))
+    walks = np.empty((rows, grid_m + 1))
     walks[:, 0] = 0.0
+    if stat_kind == "sup" and w2_sub is not None:
+        weight = np.sqrt(w2_sub)
     if stat_kind == "l2":
         dt = np.diff(t_sub)
-        trap = np.empty((chunk, dt.size))
-    done = 0
-    while done < replicates:
-        m = min(chunk, replicates - done)
+    for done in range(0, replicates, rows):
+        m = min(rows, replicates - done)
+        z = spare[: m * grid_m].reshape(m, grid_m)
+        gen.standard_normal(out=z)
+        z *= scale
         b = walks[:m]
-        incr = gen.standard_normal((m, grid_m))
-        incr *= scale
-        np.cumsum(incr, axis=1, out=b[:, 1:])
-        if which in ("X4", "X5"):
-            b -= t * b[:, -1:]
+        np.cumsum(z, axis=1, out=b[:, 1:])
         v = b[:, lo:hi]
+        if which in ("X4", "X5"):
+            v -= np.multiply(t_sub, b[:, -1:], out=spare[: m * width].reshape(m, width))
+        out = values[done : done + m]
         if stat_kind == "sup":
-            v = np.abs(v) if w2_sub is None else np.abs(v / np.sqrt(w2_sub))
-            values[done : done + m] = v.max(axis=1)
+            if w2_sub is not None:
+                v /= weight
+            np.abs(v, out=v).max(axis=1, out=out)
         else:
-            # np.trapezoid(v * v / w2_sub, t_sub, axis=1) bit for bit, in place:
-            # the walks are redrawn for every chunk
+            # np.trapezoid(v * v / w2_sub, t_sub, axis=1) bit for bit, in place
             v *= v
             if w2_sub is not None:
                 v /= w2_sub
-            areas = np.add(v[:, 1:], v[:, :-1], out=trap[:m])
+            areas = np.add(v[:, 1:], v[:, :-1], out=spare[: m * (width - 1)].reshape(m, width - 1))
             areas *= dt
             areas /= 2.0
-            values[done : done + m] = areas.sum(axis=1)
-        done += m
+            areas.sum(axis=1, out=out)
     return FunctionalSample(which, stat_kind, values)
 
 
 def kolmogorov_cdf(x):
     """CDF of the Kolmogorov law P(sup_u |B°(u)| <= x), elementwise."""
     return 1.0 - kolmogorov(x)
+
+
+# Series terms of the closed-form cdfs below, measured against 40-digit
+# mpmath sums: 12 terms of either sup series leave nothing a double holds;
+# the L2 series leave under 1e-18 unsummed below their cutoffs (32 and 8),
+# past which 1 - F < 1e-17, so F rounds to 1 and is returned as 1.
+_SUP_ODD = 2.0 * np.arange(12) + 1.0
+_SUP_ALTERNATE = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+# |binom(-1/2, k)| = Gamma(k + 1/2)/(Gamma(1/2) k!), the weights of both L2 series
+_HALF_BINOM = np.cumprod(np.concatenate(([1.0], (np.arange(25) + 0.5) / (np.arange(25) + 1.0))))
+_L2_ODD = 4.0 * np.arange(26) + 1.0
+_L2_SIGNED = np.where(np.arange(26) % 2 == 0, 1.0, -1.0) * _HALF_BINOM
+_L2_ONE = 32.0
+_CVM_ODD = _L2_ODD[:14]
+_CVM_WEIGHTS = _HALF_BINOM[:14] * np.sqrt(_CVM_ODD)
+_CVM_ONE = 8.0
+
+
+def _clipped(x, top: float) -> np.ndarray:
+    """x as float64, clipped to [1e-4, top].
+
+    Each law below has a leading term of about exp(-1/(8x)), so its cdf is
+    0.0 in double from 1e-4 down, and 1 from its cutoff top up; clipping
+    keeps x <= 0 and x = inf out of every series.
+    """
+    return np.clip(np.asarray(x, dtype=np.float64), 1e-4, top)
+
+
+def _sup_theta_series(x: np.ndarray) -> np.ndarray:
+    """(4/pi) sum_k (-1)^k/(2k+1) exp(-pi^2 (2k+1)^2/(8x^2)), for 0 < x <= 1."""
+    terms = np.exp(np.multiply.outer(-math.pi * math.pi / 8.0 / (x * x), _SUP_ODD * _SUP_ODD))
+    return 4.0 / math.pi * (_SUP_ALTERNATE / _SUP_ODD * terms).sum(axis=-1)
+
+
+def _sup_erfc_series(x: np.ndarray) -> np.ndarray:
+    """1 - 2 sum_k (-1)^k erfc((2k+1) x/sqrt 2), for x >= 1."""
+    return 1.0 - 2.0 * (_SUP_ALTERNATE * erfc(np.multiply.outer(x / math.sqrt(2.0), _SUP_ODD))).sum(axis=-1)
+
+
+def brownian_sup_cdf(x):
+    """CDF of P(sup_[0,1] |B| <= x), elementwise: the limit of X1's sup.
+
+    The theta-function series below x = 1 and the reflection (erfc) series
+    from 1 on.
+    """
+    xs = _clipped(x, np.inf)
+    return np.where(xs < 1.0, _sup_theta_series(np.minimum(xs, 1.0)), _sup_erfc_series(np.maximum(xs, 1.0)))
+
+
+def brownian_l2_cdf(x):
+    """CDF of P(int_0^1 B^2 <= x), elementwise: the limit of X1's L2.
+
+    sqrt 2 sum_k binom(-1/2, k) erfc((4k+1)/(2 sqrt(2x))), the inversion of
+    E exp(-s int B^2) = cosh(sqrt(2s))^(-1/2) (Cameron & Martin 1944).
+    """
+    xs = _clipped(x, _L2_ONE)
+    r = 1.0 / (2.0 * np.sqrt(2.0 * xs))
+    f = math.sqrt(2.0) * (_L2_SIGNED * erfc(np.multiply.outer(r, _L2_ODD))).sum(axis=-1)
+    return np.where(xs < _L2_ONE, np.minimum(f, 1.0), 1.0)
+
+
+def cramer_von_mises_cdf(x):
+    """CDF of P(int_0^1 B°^2 <= x), elementwise: the limit of X4's L2.
+
+    (1/(pi sqrt x)) sum_k [Gamma(k+1/2)/(Gamma(1/2) k!)] sqrt(4k+1)
+    e^{-y} K_{1/4}(y) with y = (4k+1)^2/(16x) (Anderson & Darling 1952).
+    """
+    xs = _clipped(x, _CVM_ONE)
+    y = np.multiply.outer(1.0 / (16.0 * xs), _CVM_ODD * _CVM_ODD)
+    f = (_CVM_WEIGHTS * np.exp(-y) * kv(0.25, y)).sum(axis=-1) / (math.pi * np.sqrt(xs))
+    return np.where(xs < _CVM_ONE, np.minimum(f, 1.0), 1.0)
+
+
+# (process, stat) -> cdf of its comparison law, for the pairs whose law is
+# known in closed form. X2 shares X1's unit-weight law here, as its simulated
+# reference always has; that is not X2's limit, which is B(u)/sqrt(u).
+EXACT_REFERENCES = {
+    ("X1", "sup"): brownian_sup_cdf,
+    ("X2", "sup"): brownian_sup_cdf,
+    ("X1", "l2"): brownian_l2_cdf,
+    ("X2", "l2"): brownian_l2_cdf,
+    ("X4", "sup"): kolmogorov_cdf,
+    ("X4", "l2"): cramer_von_mises_cdf,
+}
 
 
 def ks_distance(sample, reference) -> float:

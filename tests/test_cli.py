@@ -326,6 +326,35 @@ class TestFclt:
         assert a[1] == b[1]
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "which,stat,reference",
+        [
+            ("X1", "sup", "brownian_sup_cdf"),
+            ("X1", "l2", "brownian_l2_cdf"),
+            ("X2", "sup", "brownian_sup_cdf"),
+            ("X2", "l2", "brownian_l2_cdf"),
+            ("X3", "sup", "gaussian_simulation"),
+            ("X3", "l2", "gaussian_simulation"),
+            ("X4", "sup", "kolmogorov_cdf"),
+            ("X4", "l2", "cramer_von_mises_cdf"),
+            ("X5", "sup", "gaussian_simulation"),
+            ("X5", "l2", "gaussian_simulation"),
+        ],
+    )
+    def test_reference_names_its_law(self, which, stat, reference, capsys):
+        argv = f"fclt --which {which} --stat {stat} --n 300 --theta 2 --m 1000 --ref-m 200 --grid-m 1024 --seed 5"
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == 0, err
+        assert json.loads(err)["reference"] == reference
+
+    @pytest.mark.parametrize("which,stat", [("X1", "sup"), ("X1", "l2"), ("X2", "sup"), ("X2", "l2"), ("X4", "sup"), ("X4", "l2")])
+    def test_exact_pairs_ignore_the_reference_grid(self, which, stat, capsys):
+        # a closed-form law: --grid-m and --ref-m size only the simulated reference
+        argv = f"fclt --which {which} --stat {stat} --n 300 --theta 2 --m 1000 --seed 5".split()
+        base = run_cli(argv, capsys)
+        other = run_cli(argv + ["--grid-m", "1024", "--ref-m", "100"], capsys)
+        assert base[0] == 0 and base == other
+
     def test_x2_past_its_table_exits_one(self, capsys):
         # the table would take 40 GB at n = 1e9; refused before any allocation
         code, out, err = run_cli(["fclt", "--which", "X2", "--n", "1000000000", "--theta", "2"], capsys)

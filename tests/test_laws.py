@@ -32,6 +32,7 @@ from ewens.laws import (
     Pmf,
     cjn_mean,
     conditioned_joint_prob,
+    conditioned_prefix_probs,
     conditioning_log_ratio,
     esf_pmf,
     kn_mean_var,
@@ -675,6 +676,29 @@ class TestConditioning:
 
     def test_infeasible_prefix_has_zero_mass(self):
         assert conditioned_joint_prob(EsfParams(4, 1.0), 2, (3, 1)) == 0.0
+
+    def test_prefix_probs_share_one_ratio(self, monkeypatch):
+        # every prefix of one (theta, b) reads one conditioning ratio, and
+        # gets the value the one-prefix call gives, bit for bit
+        params = EsfParams(9, 1.7)
+        prefixes = sorted({counts[:3] for counts in partitions_of(9)}) + [(0, 0, 4)]
+        one_by_one = [conditioned_joint_prob(params, 3, key) for key in prefixes]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _tlm_log(*args)
+
+        monkeypatch.setattr(ewens.laws, "_tlm_log", counted)
+        assert conditioned_prefix_probs(params, 3, prefixes) == one_by_one
+        assert calls == [(1.7, 3, 9, 9)]
+        assert one_by_one[-1] == 0.0  # weight 12 > n
+
+    def test_prefix_probs_check_every_prefix(self):
+        with pytest.raises(ValueError, match="length 2"):
+            conditioned_prefix_probs(EsfParams(6, 1.0), 3, [(1, 0, 0), (1, 0)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            conditioned_prefix_probs(EsfParams(6, 1.0), 2, [(1, -1)])
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 7.0])
     def test_tilting_leaves_conditional_law_invariant(self, x):

@@ -11,6 +11,7 @@ on known distributional facts and against its masked-copy route.
 """
 
 import functools
+import hashlib
 import math
 import os
 import subprocess
@@ -39,6 +40,32 @@ from ewens.paths import (
     reference_functionals,
 )
 from ewens.sampling import RngState, _FellerHits, sample_feller
+
+# grid_m, replicates, process, stat, sha256 of reference_functionals' values
+# at eps = 0.01/log 5000 on RngState(DEFAULT_SEED).substream(2**32), as `fclt`
+# seeds its reference; X2's walks are X1's
+PINNED_REFERENCE_DIGESTS = """
+1024 1000 X1 sup c1a2ff227109d737bd1fc7aa144a9fd881931f6151c87812754e9bc80251cbab
+1024 1000 X1 l2 34a261096251970094847f440ae876da8fca053d19d3bec888a3c4673e8e8a51
+1024 1000 X2 sup c1a2ff227109d737bd1fc7aa144a9fd881931f6151c87812754e9bc80251cbab
+1024 1000 X2 l2 34a261096251970094847f440ae876da8fca053d19d3bec888a3c4673e8e8a51
+1024 1000 X3 sup 4f061027c7b742634734567c4d089561f06c6f895b33efe6ef679cecfe7cad73
+1024 1000 X3 l2 578556d75bf4127b51ab4119e94d7c06f644fc128cc15b2af09a7f3fdea153ca
+1024 1000 X4 sup 6f19d4d854272aa14d0423823e32ed8c076c81f1ea28d8b34f8c04b667fcabf9
+1024 1000 X4 l2 c4475a91b0cd417968566f56042456932ea84c89e9ce6b28cde3dba3a5818083
+1024 1000 X5 sup 79630933473e05bfc00c420e2bf3db663aa91a8c6088c7747244365df45790aa
+1024 1000 X5 l2 1d08f7110fab98c0ddcf70cfd763c16b0a7e465abc542bbad1e8cbea893c07c4
+4096 1500 X1 sup a0ecdc5dd5a08cfc37c38044abb771c4bc6ea0eac40199e71195e22fae4d0756
+4096 1500 X1 l2 2a0f5dbed8cb0092fbf13e23eb126995282c338ed514e7f3ae82a9a0005b8c70
+4096 1500 X2 sup a0ecdc5dd5a08cfc37c38044abb771c4bc6ea0eac40199e71195e22fae4d0756
+4096 1500 X2 l2 2a0f5dbed8cb0092fbf13e23eb126995282c338ed514e7f3ae82a9a0005b8c70
+4096 1500 X3 sup 8be472f22bb7f06b8c9c16ec663bb575f012524090ee2436135f61903bfe4529
+4096 1500 X3 l2 33f4dc3b18c9d5e4adde0abfeef6c3c5676e4d045603c8f45daa3779e763a3e3
+4096 1500 X4 sup c64630524ad17006fa405a457efcd59439f7f76ae095ff001f680485ad8e7399
+4096 1500 X4 l2 5c539944c5c5f827316aed71691254e282d275c9d08f87d9e2967a4092f13ad8
+4096 1500 X5 sup 44d6cc4e5b10d0450a49c54b79fb5daf5f7cd4528589018f97599efb96a4d7cc
+4096 1500 X5 l2 805a216129959fe853153b1e960f2aa118c5837491e16d91bf4266f902492169
+"""
 
 # (n, counts, theta) -> {process: (sup, l2)}; values from exact symbolic
 # integration of the step-function definitions at eps = 0.01.
@@ -610,6 +637,29 @@ class TestReferenceFunctionals:
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
             reference_functionals("X1", "sup", 0.001, 100, 200, RngState(1))
+
+    @pytest.mark.parametrize(
+        "grid_m,replicates,which,stat,digest",
+        [(int(g), int(m), w, s, d) for g, m, w, s, d in (line.split() for line in PINNED_REFERENCE_DIGESTS.strip().splitlines())],
+    )
+    def test_pinned_output_digest(self, grid_m, replicates, which, stat, digest):
+        # the values recorded before the walks were built in cache-sized row
+        # blocks; 1500 rows leave a partial last block at either grid
+        eps = 0.01 / math.log(5000)
+        ref = reference_functionals(which, stat, eps, grid_m, replicates, RngState(sampling.DEFAULT_SEED).substream(2**32))
+        assert hashlib.sha256(ref.values.tobytes()).hexdigest() == digest
+
+    def test_memory_stays_at_a_block_at_the_cli_defaults(self):
+        # 4096 x 10^4 walks: about 1 GiB when held at once; two blocks of
+        # buffers and the values, about 1.2 MiB, when walked in row blocks
+        tracemalloc.start()
+        try:
+            ref = reference_functionals("X5", "l2", 0.01 / math.log(5000), 4096, 10**4, RngState(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert ref.values.size == 10**4
 
 
 class TestKsDistance:

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, kolmogorov, kv
+from scipy.special import binom, erfc, kolmogorov, kv
 
 from .laws import EsfParams, Partition
 from .sampling import RngState, _FellerHits, _key_rows
@@ -514,14 +514,13 @@ def kolmogorov_cdf(x):
 # the L2 series leave under 1e-18 unsummed below their cutoffs (32 and 8),
 # past which 1 - F < 1e-17, so F rounds to 1 and is returned as 1.
 _SUP_ODD = 2.0 * np.arange(12) + 1.0
-_SUP_ALTERNATE = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
-# |binom(-1/2, k)| = Gamma(k + 1/2)/(Gamma(1/2) k!), the weights of both L2 series
-_HALF_BINOM = np.cumprod(np.concatenate(([1.0], (np.arange(25) + 0.5) / (np.arange(25) + 1.0))))
+_SUP_ALTERNATE = (-1.0) ** np.arange(12)
 _L2_ODD = 4.0 * np.arange(26) + 1.0
-_L2_SIGNED = np.where(np.arange(26) % 2 == 0, 1.0, -1.0) * _HALF_BINOM
+# binom(-1/2, k) = (-1)^k Gamma(k + 1/2)/(Gamma(1/2) k!), the weights of both L2 series
+_L2_BINOM = binom(-0.5, np.arange(26))
 _L2_ONE = 32.0
 _CVM_ODD = _L2_ODD[:14]
-_CVM_WEIGHTS = _HALF_BINOM[:14] * np.sqrt(_CVM_ODD)
+_CVM_WEIGHTS = np.abs(_L2_BINOM[:14]) * np.sqrt(_CVM_ODD)
 _CVM_ONE = 8.0
 
 
@@ -564,7 +563,7 @@ def brownian_l2_cdf(x):
     """
     xs = _clipped(x, _L2_ONE)
     r = 1.0 / (2.0 * np.sqrt(2.0 * xs))
-    f = math.sqrt(2.0) * (_L2_SIGNED * erfc(np.multiply.outer(r, _L2_ODD))).sum(axis=-1)
+    f = math.sqrt(2.0) * (_L2_BINOM * erfc(np.multiply.outer(r, _L2_ODD))).sum(axis=-1)
     return np.where(xs < _L2_ONE, np.minimum(f, 1.0), 1.0)
 
 

@@ -167,15 +167,19 @@ def _run_sample(ns: argparse.Namespace) -> int:
         _table(ns, ["rep", "k"], rows, meta)
         return 0
     rows = []
+    c_inf = []
     for i in range(m):
         if ns.sampler == "crp":
             part = sampling.sample_crp(p, gen)
         else:
             s = sampling.sample_feller(p, gen, **extension)
             part = s.c_n
+            c_inf.append(s.c_inf.tolist())
         rows += [[i, j, c] for j, c in zip(part.sizes.tolist(), part.mults.tolist())]
     if ns.sampler == "feller" and ns.b_max:
         meta["residual_bound"] = _f17(s.residual)
+        # C^inf_1..b_max of each replicate; space-free in the CSV comment line
+        meta["c_inf"] = c_inf if ns.format == "json" else json.dumps(c_inf, separators=(",", ":"))
     _table(ns, ["rep", "j", "count"], rows, meta)
     return 0
 
@@ -315,8 +319,11 @@ def _run_fclt(ns: argparse.Namespace) -> int:
     seed = _seed(ns)
     which = ns.which
     stat = ns.stat
-    sample = paths.mc_functionals(p, which, stat, ns.eps, ns.m, RngState(seed))
     cdf = paths.EXACT_REFERENCES.get((which, stat))
+    # the simulated reference's window starts at eps/log n, which must be below 1/2
+    if cdf is None and p.n > 1 and not ns.eps < 0.5 * math.log(p.n):
+        raise ValueError(f"--eps must be below 0.5 log n = {0.5 * math.log(p.n):.4g} for {which}, got {ns.eps!r}")
+    sample = paths.mc_functionals(p, which, stat, ns.eps, ns.m, RngState(seed))
     if cdf is not None:
         ks = paths.ks_distance(sample, cdf)
         reference = cdf.__name__

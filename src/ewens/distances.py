@@ -27,7 +27,7 @@ from .laws import (
     tlm_logpmf,
     tlm_pmf,
 )
-from .sampling import RngState, sample_feller
+from .sampling import _HIT_VALUES, RngState, _coupled_counts, _FellerHits, _horizon
 from .special import harmonic_number, log1p_ratio
 
 
@@ -315,7 +315,7 @@ def _t0b_window(theta: float, b: int, log_eps: float, *cuts: int, limit: int | N
         return limit
     if m_cut > _T0B_MAX_WINDOW or m_cut * b > _T0B_MAX_CELLS:
         raise ValueError(
-            f"the law of T_0b at theta={theta:g}, b={b} needs a window of {m_cut} values; "
+            f"the law of T_0b at theta={theta:g}, b={b} needs a window of {m_cut:.3g} values; "
             f"at most {_T0B_MAX_WINDOW} values and {_T0B_MAX_CELLS} values times b are supported"
         )
     return m_cut
@@ -439,28 +439,26 @@ def dbw_mc(params: EsfParams, b: int, replicates: int, rng: RngState) -> McEstim
     """Feller-coupling estimate of sum_{j<=b} E|C_j^n - Z_j|.
 
     An upper-bound estimator for the prefix Wasserstein distance; the
-    per-sample extension residual gives the certified bias bound. The
-    replicates are `sample_feller` draws read in order from the one stream
-    `rng.generator()`, so a longer run extends a shorter one.
+    residual of `sampling._horizon` gives the certified bias bound. The
+    replicates are `_FellerHits` draws on the cells [0, horizon + b) and
+    rng.substream(0/1/2), read in order, so a longer run extends a shorter one.
     """
-    n = params.n
+    n, theta = params.n, params.theta
     if b != int(b) or not 1 <= b <= n:
         raise ValueError(f"b must be in 1..{n}, got {b!r}")
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
-    b = int(b)
-    total = 0
-    total_sq = 0
-    residual = 0.0
-    gen = rng.generator()
-    for _ in range(replicates):
-        s = sample_feller(params, gen, b_max=b)
-        x = int(np.abs(s.c_n.prefix(b) - s.c_inf).sum())
-        total += x
-        total_sq += x * x
-        residual = s.residual
-    mean = total / replicates
-    var = (total_sq - replicates * mean * mean) / (replicates - 1)
+    b, horizon, residual = _horizon(n, theta, b)
+    hits = _FellerHits(theta, 0, horizon + b, *(rng.substream(s).generator() for s in range(3)))
+    # a pass's two (rows, b) count arrays stay within the sampler's budget
+    block = min(hits.rows, max(1, _HIT_VALUES // b))
+    x = np.empty(replicates, dtype=np.int64)
+    for first in range(0, replicates, block):
+        rows = min(block, replicates - first)
+        c_n, c_inf = _coupled_counts(*hits.draw(rows), rows, b, n, horizon)
+        x[first : first + rows] = np.abs(c_n - c_inf).sum(axis=1)
+    mean = int(x.sum()) / replicates
+    var = (int((x * x).sum()) - replicates * mean * mean) / (replicates - 1)
     return McEstimate(mean, math.sqrt(max(var, 0.0) / replicates), replicates, residual)
 
 

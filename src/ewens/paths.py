@@ -393,8 +393,8 @@ def mc_functionals(
 ) -> FunctionalSample:
     """Sampled functional values over independent partition draws.
 
-    The replicates' Feller successes in 1..n come from
-    `sampling._FellerHits(rng, theta, n)`, a block of `_REPLICATE_BLOCK`
+    The replicates' Feller successes in 1..n come from `sampling._FellerHits`
+    on the cells [0, n) and rng.substream(0/1/2), a block of `_REPLICATE_BLOCK`
     replicates per `draw`, fewer where n is so large that the block's
     (replicate, size) keys would overflow int64; replicate i's value is
     `functional_stat` on the path of its blocks. Each block is grouped and
@@ -415,7 +415,7 @@ def mc_functionals(
     if which == "X2":
         _TABLE.upto(n)  # refuses n > X2_MAX_N before anything is drawn
     values = np.empty(replicates, dtype=np.float64)
-    hits = _FellerHits(rng, theta, n)
+    hits = _FellerHits(theta, 0, n, *(rng.substream(s).generator() for s in range(3)))
     block = min(_REPLICATE_BLOCK, _key_rows(n))
     for lo in range(0, replicates, block):
         count = min(block, replicates - lo)

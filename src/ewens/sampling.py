@@ -5,19 +5,22 @@ counter-based Philox generator, so draws are bit-for-bit stable across
 platforms. A Monte Carlo loop reads its replicates in order from its
 state's own stream(s), so reruns are byte-identical and a longer run
 extends a shorter one; `substream(k)` derives named sibling streams, never
-one per replicate. `sample_feller`, `sample_kn` and `sample_crp` take
-either an `RngState` or a generator to draw from.
+one per replicate, so a replicate of a block draw cannot be regenerated
+alone. `sample_feller`, `sample_kn` and `sample_crp` take either an
+`RngState` or a generator to draw from.
 
-Cost per draw: `sample_feller` and `sample_kn` read C^n, C^inf and K_n off
-one `_successes` pass, one uniform per position 1..n in one vectorised call
-and one step per success past n for the extension. `paths.mc_functionals`
-keeps only the success cells, drawn by `_FellerHits` for a whole block of
-replicates in a few numpy calls on three streams: one uniform per cell of
-the dense window 0..J-1, J = min(n, ceil(16 theta)), then about
-theta log2(n/J) Poisson points with two uniforms each, of which about
-theta ln(n/J) are kept. That is O(J + theta log(n/J)) per draw and no
-Python work per replicate: at (n, theta) = (1e4, 2), 32 uniforms, 9
-Poisson counts and about 16 points, 11.5 kept, in place of 1e4 uniforms.
+Cost per draw: `sample_feller` and `sample_kn` read C^n and K_n off one
+vectorised uniform per position 1..n. Every Feller success past that
+window comes from `_FellerHits`: cells [start, stop) of a block of
+replicates in a few numpy calls on three streams, one uniform per cell of
+the dense window start..J-1, J = max(start, min(stop, ceil(16 theta))),
+then about theta log2(stop/J) Poisson points of two uniforms each, about
+theta ln(stop/J) kept. That is O(J - start + theta log(stop/J)) per
+replicate and no Python work per replicate: `paths.mc_functionals` draws
+[0, n), at (1e4, 2) 32 uniforms, 9 counts and about 16 points, in place of
+1e4 uniforms; `distances.dbw_mc` [0, horizon + b), at (1e4, 10, 5) 160
+uniforms, 15 counts and about 150 points; `sample_feller`'s extension one
+row from n, holding all its points at once, 80 bytes each.
 """
 
 from __future__ import annotations
@@ -114,59 +117,68 @@ def sample_feller(
     """Draw (C^n, C^inf) from the Feller coupling.
 
     C^n is read off the spacings between the successes in 1..n of xi_j ~
-    Bernoulli(theta/(theta+j-1)) (see `_successes`), n+1-t_last closing it.
-    C^inf counts every spacing through the first success past a horizon
-    chosen so the expected number of missed spacings of size <= b_max is
-    below tail_bound. Past n that is one step per success, at most about
-    theta ln(horizon/n) steps and no cap: 1.2e7 at n=1000, theta=5e5, b_max=5.
+    Bernoulli(theta/(theta+j-1)), one uniform per position, n+1-t_last
+    closing them. C^inf is `_coupled_counts` up to the horizon of `_horizon`;
+    the successes past n are one row of `_FellerHits` cells [n, horizon +
+    b_max), drawn from the same generator after the window: about 0.2 s and
+    100 MiB at (n, theta, b_max) = (1000, 5e4, 5), mostly the points' arrays.
 
     Args:
         params: (n, theta).
         rng: generator state, one per sample, or a generator to draw from.
         b_max: largest spacing size kept in c_inf, at most n. The default
             0 disables the extension entirely and leaves c_inf empty.
-        tail_bound: certified bias budget for the extension. A horizon
-            n + b_max theta^2/tail_bound of 2^62 or more is a ValueError.
+        tail_bound: certified bias budget for the extension. An extension
+            reaching 2^62 (see `_horizon`) is a ValueError.
     """
     n, theta = params.n, params.theta
-    if b_max != int(b_max) or not 0 <= b_max <= n:
-        raise ValueError(f"b_max must be in 0..{n}, got {b_max!r}")
-    b_max = int(b_max)
-    if not 0.0 < tail_bound <= 1.0:
-        raise ValueError(f"tail_bound must be in (0, 1], got {tail_bound!r}")
-    span = b_max * theta * theta / tail_bound
-    if not n + span < 2.0**62:  # positions are int64; inf fails too
-        raise ValueError(f"horizon n + b_max*theta^2/tail_bound = {n + span:.3g} is not below 2^62 "
-                         f"(b_max={b_max}, theta={theta!r}, tail_bound={tail_bound!r})")
-    horizon = n + math.ceil(span)
-
-    window, later = _successes(_generator(rng), theta, n, horizon + 1 if b_max else n)
-    pos = window.nonzero()[0] + 1  # the successes in 1..n
+    b_max, horizon, residual = _horizon(n, theta, b_max, tail_bound)
+    gen = _generator(rng)
+    pos = np.flatnonzero(gen.random(n) < success_probs(n, theta)) + 1  # the successes in 1..n
     part = Partition.from_blocks(np.diff(np.append(pos, n + 1)))
     c_inf = np.zeros(0, np.int64)
     if b_max:
-        gaps = np.diff(np.append(pos, later))
-        c_inf = np.bincount(gaps[gaps <= b_max], minlength=b_max + 1)[1:]
-    return FellerSample(part, c_inf, b_max * theta * theta / (theta + horizon - 1.0))
+        _, later = _FellerHits(theta, n, horizon + b_max, gen, gen, gen).draw(1)
+        cell = np.append(pos - 1, later)
+        c_inf = _coupled_counts(np.zeros_like(cell), cell, 1, b_max, n, horizon)[1][0]
+    return FellerSample(part, c_inf, residual)
 
 
-def _successes(
-    gen: np.random.Generator, theta: float, n: int, reach: int
-) -> tuple[np.ndarray, list[int]]:
-    """Successes of xi_j ~ Bernoulli(p_j), p_j = theta/(theta+j-1), j >= 1.
+def _horizon(n: int, theta: float, b_max: int, tail_bound: float = 1e-4) -> tuple[int, int, float]:
+    """(b_max, horizon, residual) of a C^inf extension keeping spacing sizes 1..b_max, b_max validated.
 
-    Returns the mask xi_1..xi_n, one uniform per position, and the positions
-    of the successes past n through the first at or past `reach`. Each is
-    one Geometric(W) step, W ~ Beta(theta, t), from the last position t,
-    success or not: P(no success in t+1..t+s) = (t)_s/(theta+t)_s = E[(1-W)^s].
+    horizon = n + ceil(b_max theta^2/tail_bound), and the residual
+    b_max theta^2/(theta + horizon - 1) <= tail_bound bounds the expected
+    number of spacings of size <= b_max whose left end lies past it.
     """
-    window = gen.random(n) < success_probs(n, theta)
-    t = n
-    later = []
-    while t < reach:
-        t += _geometric(gen, gen.beta(theta, t))
-        later.append(t)
-    return window, later
+    if b_max != int(b_max) or not 0 <= b_max <= n:
+        raise ValueError(f"b_max must be in 0..{n}, got {b_max!r}")
+    if not 0.0 < tail_bound <= 1.0:
+        raise ValueError(f"tail_bound must be in (0, 1], got {tail_bound!r}")
+    span = b_max * theta * theta / tail_bound
+    if not n + span + b_max < 2.0**62:  # inf fails too
+        raise ValueError(f"horizon n + b_max*theta^2/tail_bound + b_max = {n + span + b_max:.3g} is not below "
+                         f"2^62 (b_max={b_max}, theta={theta!r}, tail_bound={tail_bound!r})")
+    horizon = n + math.ceil(span)
+    return int(b_max), horizon, b_max * theta * theta / (theta + horizon - 1.0)
+
+
+def _coupled_counts(rep: np.ndarray, cell: np.ndarray, rows: int, b: int, n: int, horizon: int) -> tuple:
+    """(C^n_j, C^inf_j), j = 1..b, two (rows, b) arrays, from the success cells (rep, cell).
+
+    The cells, position - 1, are sorted by replicate then cell and reach
+    cell horizon + b - 1. C^n counts the spacings in cells 0..n-1 and the
+    closing block n - c_last; C^inf every spacing whose left end is at or
+    before position horizon, so the one straddling n counts in C^inf only.
+    """
+    last = np.append(rep[1:] != rep[:-1], True)
+    nxt = np.append(cell[1:], n)
+    gap = nxt - cell
+    size_n = np.where(last, n, np.minimum(nxt, n)) - cell
+    fin = (cell < n) & (size_n <= b)
+    inf = ~last & (cell < horizon) & (gap <= b)
+    return tuple(np.bincount(rep[k] * b + s[k] - 1, minlength=rows * b).reshape(rows, b)
+                 for k, s in ((fin, size_n), (inf, gap)))
 
 
 def _dense_window(theta: float, n: int) -> int:
@@ -181,53 +193,55 @@ def _key_rows(n: int) -> int:
 
 
 class _FellerHits:
-    """The Feller successes of consecutive replicates, a block at a time.
+    """The Feller successes in cells [start, stop) of consecutive replicates, a block at a time.
 
     Cell i = j - 1 of a replicate holds xi_j ~ Bernoulli(p_i),
-    p_i = theta/(theta+i), i = 0..n-1, independent; `draw(count)` returns
-    the next `count` replicates' successes as flat (replicate, cell) arrays,
+    p_i = theta/(theta+i), independent; `draw(count)` returns the next
+    `count` replicates' successes as flat (replicate, cell) arrays,
     replicates counted from 0 in each call, sorted by replicate then cell.
 
-    - Cells 0..J-1, J = `_dense_window`, are one uniform each from stream A:
-      a row of `random((rows, J)) < p`. Cell 0 is always a success.
-    - Past J the cells are cut into the blocks [lo, min(n, 2 lo)), lo = J,
+    - Cells start..J-1, J = max(start, `_dense_window`(theta, stop)), are
+      one uniform each from `cells`: a row of `random((rows, J - start)) < p`.
+      From start = 0, cell 0 is always a success.
+    - Past J the cells are cut into the blocks [lo, min(stop, 2 lo)), lo = J,
       2J, 4J, ... Cell i succeeds iff a Poisson process of rate
       lambda_i = log1p(theta/i) = -log(1 - p_i) puts a point in it, which
       happens with probability 1 - e^-lambda_i = p_i, independently of the
       other cells. A block of L cells draws one Poisson(L lambda_lo) count
-      per replicate from stream B, lambda_lo being its largest rate; each
-      point reads two uniforms from stream C, falls in cell
+      per replicate from `counts`, lambda_lo being its largest rate; each
+      point reads two uniforms from `points`, falls in cell
       lo + floor(u_1 L) and is kept iff u_2 lambda_lo < lambda_i (thinning,
       Lewis & Shedler 1979), and a cell with a kept point is a success. The
       rates are evaluated per point, so p_i is exact to rounding; a table of
       cumulative rates inverted by `searchsorted` would lose about 1e-9
       relative in p_i at n = 1e6.
 
-    Streams A, B and C are `rng.substream(0/1/2).generator()`, each read in
+    The generators `cells`, `counts` and `points` are each read in
     replicate order, so the draws do not depend on how the replicates are
-    split into calls or passes, and a longer run extends a shorter one. A
-    pass holds at most `_HIT_VALUES // (J + 2 sum_blocks L lambda_lo)`
-    replicates, the window's uniforms and two per expected point, and at
-    most `_key_rows(n)`, so that its (replicate, cell) keys fit in int64.
-    An n of 2^62 or more, past `sample_feller`'s position bound, is a
-    ValueError.
+    split into calls or passes, and a longer run extends a shorter one; one
+    generator may serve all three in a one-row pass. A pass holds at most
+    `_HIT_VALUES // (J - start + 2 sum_blocks L lambda_lo)` replicates, the
+    window's uniforms and two per expected point, and at most
+    `_key_rows(stop)`, so that its (replicate, cell) keys fit in int64. A
+    stop of 2^62 or more (n for `paths.mc_functionals`) is a ValueError.
     """
 
-    def __init__(self, rng: RngState, theta: float, n: int) -> None:
-        if n >= 1 << 62:
-            raise ValueError(f"n must be below 2^62, the Feller sampler's position bound, got {n}")
-        self.theta, self.n = theta, n
-        self.window = _dense_window(theta, n)
-        lo, start = [], self.window
-        while start < n:
-            lo.append(start)
-            start *= 2
+    def __init__(self, theta: float, start: int, stop: int, *streams: np.random.Generator) -> None:
+        if stop >= 1 << 62:
+            raise ValueError(f"n must be below 2^62, the Feller sampler's position bound, got {stop}")
+        self.theta, self.start, self.stop = theta, start, stop
+        window = max(start, _dense_window(theta, stop))
+        self.p = theta / (theta + np.arange(start, window, dtype=np.float64))
+        lo = []
+        while window < stop:
+            lo.append(window)
+            window *= 2
         self.lo = np.array(lo, dtype=np.int64)
-        self.span = np.minimum(self.lo, n - self.lo)
+        self.span = np.minimum(self.lo, stop - self.lo)
         self.rate = np.log1p(theta / self.lo)
         self.mean = self.span * self.rate
-        self.rows = min(max(1, int(_HIT_VALUES // (self.window + 2.0 * float(self.mean.sum())))), _key_rows(n))
-        self.cells, self.counts, self.points = (rng.substream(s).generator() for s in range(3))
+        self.rows = min(max(1, int(_HIT_VALUES // (self.p.size + 2.0 * float(self.mean.sum())))), _key_rows(stop))
+        self.cells, self.counts, self.points = streams
 
     def draw(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """(replicate, cell) of every success of the next `count` replicates."""
@@ -235,9 +249,8 @@ class _FellerHits:
         return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     def _pass(self, first: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        hit = np.flatnonzero(self.cells.random((rows, self.window)) < success_probs(self.window, self.theta))
-        rep = hit // self.window
-        cell = hit - rep * self.window
+        rep, cell = np.divmod(np.flatnonzero(self.cells.random((rows, self.p.size)) < self.p), self.p.size)
+        cell += self.start
         if self.lo.size:
             rep, cell = self._with_thinned(rows, rep, cell)
         rep += first
@@ -251,35 +264,16 @@ class _FellerHits:
         b = point % blocks
         at = self.lo[b] + (u[:, 0] * self.span[b]).astype(np.int64)
         keep = u[:, 1] * self.rate[b] < np.log1p(self.theta / at)
-        keys = np.sort(point[keep] // blocks * self.n + at[keep])
+        keys = np.sort(point[keep] // blocks * self.stop + at[keep])
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        later = keys // self.n
+        later = keys // self.stop
         # a replicate's window cells all lie below its thinned cells
         runs = np.column_stack((np.bincount(rep, minlength=rows), np.bincount(later, minlength=rows)))
         in_window = np.repeat(np.tile((True, False), rows), runs.ravel())
         pos = np.empty(in_window.size, dtype=np.int64)
         pos[in_window] = cell
-        pos[~in_window] = keys - later * self.n
+        pos[~in_window] = keys - later * self.stop
         return np.repeat(np.arange(rows), runs.sum(axis=1)), pos
-
-
-def _geometric(gen: np.random.Generator, w: float) -> int:
-    """Geometric(w) on {1, 2, ...} by exact inversion of one uniform.
-
-    Returns a float-safe huge value as an int only when it fits; callers
-    compare against their horizon before using it, and w = 0 or a w so
-    small that the quotient overflows yields an effectively infinite jump.
-    """
-    u = gen.random()
-    if w >= 1.0:
-        return 1
-    if u <= 0.0:
-        u = 5e-324
-    denom = math.log1p(-w)
-    g = math.log(u) / denom if denom else math.inf
-    if g >= float(1 << 62):
-        return 1 << 62
-    return int(math.floor(g) + 1.0)
 
 
 def sample_crp(params: EsfParams, rng: RngState | np.random.Generator) -> Partition:
@@ -309,5 +303,4 @@ def sample_crp(params: EsfParams, rng: RngState | np.random.Generator) -> Partit
 
 def sample_kn(params: EsfParams, rng: RngState | np.random.Generator) -> int:
     """K_n, the successes in 1..n: c_n.num_blocks of `sample_feller` on the same state."""
-    window, _ = _successes(_generator(rng), params.theta, params.n, params.n)
-    return int(np.count_nonzero(window))
+    return int(np.count_nonzero(_generator(rng).random(params.n) < success_probs(params.n, params.theta)))

@@ -17,9 +17,11 @@ from pathlib import Path
 import pytest
 
 import ewens
+from ewens import paths
 from ewens.cli import main
 from ewens.distances import db_exact
 from ewens.laws import EsfParams
+from ewens.sampling import RngState, sample_feller
 
 
 def run_cli(argv, capsys):
@@ -143,14 +145,15 @@ class TestSample:
         assert code == 0
         assert "residual_bound" in out
 
-    # sha256 of stdout, recorded when the replicates moved to one stream; a
-    # change of random stream updates them on purpose
+    # sha256 of stdout, recorded when the replicates moved to one stream (the
+    # feller line again when its extension moved to the thinned sampler and
+    # its meta gained c_inf); a change of random stream updates them on purpose
     @pytest.mark.parametrize(
         "argv,digest",
         [
             (
                 "sample --sampler feller --n 1000 --theta 2 --m 3 --seed 42 --b-max 5",
-                "1ccf74008300b573d8c491cafea32ad005fc9d187bea49b8b3f4e8c46a7efe38",
+                "2794905a0cad655b3f0dc13bd900a3969ee184c8b6bf6fbd52360f28871c44a3",
             ),
             (
                 "sample --sampler crp --n 500 --theta 3 --m 4 --seed 7",
@@ -176,6 +179,19 @@ class TestSample:
         short, long = (runs[m].splitlines()[1:] for m in (3, 6))
         assert long[: len(short)] == short
         assert long[len(short)].startswith("3,")
+
+    def test_feller_prints_the_c_inf_it_draws(self, capsys):
+        # C^inf_1..b_max of each replicate: a list in JSON, a space-free field
+        # on the CSV comment line, the draws of sample_feller on the seed's stream
+        argv = "sample --sampler feller --n 300 --theta 2 --m 4 --seed 9 --b-max 3".split()
+        gen = RngState(9).generator()
+        want = [sample_feller(EsfParams(300, 2.0), gen, b_max=3).c_inf.tolist() for _ in range(4)]
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["c_inf"] == want
+        code, out, _ = run_cli(argv, capsys)
+        fields = dict(f.split("=", 1) for f in out.splitlines()[0][2:].split(" "))
+        assert json.loads(fields["c_inf"]) == want
+        assert out.splitlines()[1] == "rep,j,count"
 
     def test_no_parsed_value_leaks_between_calls(self, capsys):
         argv = ["sample", "--sampler", "feller", "--n", "50", "--theta", "2", "--seed", "1"]
@@ -361,6 +377,14 @@ class TestFclt:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("ewens: error: X2 keeps a harmonic table"), err
 
+    @pytest.mark.parametrize("which,stat", [("X3", "sup"), ("X5", "l2")])
+    def test_eps_past_the_simulated_window_is_refused_before_drawing(self, which, stat, capsys, monkeypatch):
+        # eps/log n must be below 1/2 for the simulated reference: 0.5 log 100 = 2.303
+        monkeypatch.setattr(paths, "mc_functionals", lambda *a: pytest.fail("drew before refusing --eps"))
+        code, out, err = run_cli(f"fclt --which {which} --stat {stat} --n 100 --theta 2 --eps 5".split(), capsys)
+        assert code == 1 and out == ""
+        assert err == f"ewens: error: --eps must be below 0.5 log n = 2.303 for {which}, got 5.0\n"
+
 
 class TestCheckCommand:
     def test_quick_suite_passes(self, capsys):
@@ -410,6 +434,12 @@ class TestExitCodes:
             assert out == "" and len(err.splitlines()) == 1, argv
             assert err.startswith("ewens: error: "), argv
             assert named in err, (argv, err)
+
+    def test_refused_t0b_window_is_printed_short(self, capsys):
+        # a window of about 3e300 values, not its 301 digits
+        code, out, err = run_cli("bounds --n 10 --theta 1e300 --b 3 --w 2".split(), capsys)
+        assert code == 1 and out == ""
+        assert "needs a window of 3e+300 values;" in err and len(err) < 200, err
 
     def test_extreme_theta_bounds_hold(self, capsys):
         # theta^2 under- or overflows here; the closed forms must not

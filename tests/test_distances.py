@@ -7,7 +7,9 @@ closed-form bound against an inline restatement of its formula. Monte Carlo
 estimates are pinned by seed.
 """
 
+import collections
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -36,7 +38,7 @@ from ewens.distances import (
 )
 from ewens.laws import EsfParams, Pmf, conditioning_log_ratio, kn_pmf, tlm_logpmf, tlm_pmf
 from ewens.special import harmonic_number
-from ewens.sampling import RngState, sample_feller
+from ewens.sampling import RngState, _FellerHits
 
 
 class TestTvDiscrete:
@@ -352,16 +354,27 @@ class TestDbwMc:
 
     @staticmethod
     def _reference_loop(params, b, count, rng):
-        # `sample_feller` draws in order from the one generator of `rng`;
-        # returns the (replicates, estimate, se, bias_bound) of each prefix
-        gen = rng.generator()
-        draws = [sample_feller(params, gen, b_max=b) for _ in range(count)]
-        x = np.array([np.abs(s.c_n.prefix(b) - s.c_inf).sum() for s in draws])
+        # a plain per-replicate reduction of the `_FellerHits` draws on the
+        # cells [0, horizon + b) and rng.substream(0/1/2); returns the
+        # (replicates, estimate, se, bias_bound) of each prefix
+        n, theta = params.n, params.theta
+        horizon = n + math.ceil(b * theta * theta / 1e-4)
+        hits = _FellerHits(theta, 0, horizon + b, *(rng.substream(s).generator() for s in range(3)))
+        rep, cell = hits.draw(count)
+        x = []
+        for succ in np.split(cell + 1, np.flatnonzero(np.diff(rep)) + 1):
+            succ = succ.tolist()
+            inside = [t for t in succ if t <= n] + [n + 1]
+            c = collections.Counter(nxt - t for t, nxt in zip(inside, inside[1:]) if nxt - t <= b)
+            c.subtract(nxt - t for t, nxt in zip(succ, succ[1:]) if t <= horizon and nxt - t <= b)
+            x.append(sum(abs(v) for v in c.values()))
+        x = np.array(x)
+        residual = b * theta * theta / (theta + horizon - 1.0)
 
         def stats(m):
             mean = int(x[:m].sum()) / m
             var = (int((x[:m] * x[:m]).sum()) - m * mean * mean) / (m - 1)
-            return (m, mean, math.sqrt(var / m), draws[m - 1].residual)
+            return (m, mean, math.sqrt(var / m), residual)
 
         return stats
 
@@ -399,6 +412,17 @@ class TestDbwMc:
     def test_minimum_replicates_enforced(self):
         with pytest.raises(ValueError):
             dbw_mc(EsfParams(100, 1.0), 1, 50, RngState(1))
+
+    def test_memory_stays_at_a_pass(self):
+        # criterion 2's largest point: a pass holds about 2^20 uniforms and
+        # points; the seed's peak is 24 MiB
+        tracemalloc.start()
+        try:
+            dbw_mc(EsfParams(10**4, 10.0), 5, 30000, RngState(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestLdTail:

@@ -143,7 +143,7 @@ EDGE_DRAWS = [(300, 2.0, DEFAULT_EPS), (2, 1.0, DEFAULT_EPS), (50, 1e6, DEFAULT_
 @functools.cache
 def sampled_paths(n, theta):
     """The paths of replicates 0..999 of RngState(44), from `_FellerHits`' own cells."""
-    rep, pos = _FellerHits(RngState(44), theta, n).draw(1000)
+    rep, pos = _FellerHits(theta, 0, n, *(RngState(44).substream(s).generator() for s in range(3))).draw(1000)
     return [
         build_path(Partition.from_blocks(np.diff(cells + 1, append=n + 1)))
         for cells in np.split(pos, np.flatnonzero(np.diff(rep)) + 1)

@@ -253,14 +253,16 @@ class TestZnMc:
             run(m)
             return dict(calls)
 
+        one = {"generator": 1}
         loops = [
-            (1000, lambda m: zn_mc_distribution(GrowthRule(1.0, 0.5), 2000, m, RngState(47))),
-            (100, lambda m: dbw_mc(EsfParams(60, 2.0), 2, m, RngState(48))),
+            (1000, one, lambda m: zn_mc_distribution(GrowthRule(1.0, 0.5), 2000, m, RngState(47))),
+            # the Feller block sampler's three sibling streams
+            (100, {"substream": 3, "generator": 3}, lambda m: dbw_mc(EsfParams(60, 2.0), 2, m, RngState(48))),
         ]
         for s in ("kn", "crp", "feller"):
-            loops.append((1, lambda m, s=s: main(f"sample --sampler {s} --n 60 --theta 2 --m {m}".split())))
-        for m, run in loops:
-            assert setups(run, m) == setups(run, 3 * m) == {"generator": 1}
+            loops.append((1, one, lambda m, s=s: main(f"sample --sampler {s} --n 60 --theta 2 --m {m}".split())))
+        for m, want, run in loops:
+            assert setups(run, m) == setups(run, 3 * m) == want
         capsys.readouterr()
         # the quick registry's loops hold a fixed m: 7 set-ups, where the
         # per-replicate loops made 74, 70 of them on substreams

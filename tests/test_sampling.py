@@ -5,6 +5,7 @@ distributions at fixed seeds; thresholds sit several standard errors above
 the values the pinned seeds actually produce, so the tests are deterministic.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -16,10 +17,9 @@ from ewens.sampling import (
     DEFAULT_SEED,
     FellerSample,
     RngState,
+    _coupled_counts,
     _dense_window,
     _FellerHits,
-    _geometric,
-    _successes,
     sample_crp,
     sample_feller,
     sample_kn,
@@ -28,30 +28,42 @@ from ewens.sampling import (
 
 
 def _loop_feller(params, rng, b_max=0, tail_bound=1e-4):
-    """Reference Feller draw: the window 1..n, then one Beta-Geometric
-    spacing at a time past n, the first one measured from the last success."""
+    """Reference Feller draw: the window 1..n, one uniform per position, then
+    C^inf by a plain loop over the successes, those in 1..n followed by the
+    `_FellerHits` cells past n drawn from the same generator."""
     n, theta = params.n, params.theta
     gen = rng.generator()
     xi = gen.random(n) < success_probs(n, theta)
     xi[0] = True
     pos = np.flatnonzero(xi) + 1
-    gaps = np.diff(pos)
-    part = Partition.from_blocks(np.append(gaps, n + 1 - int(pos[-1])))
-    c_inf = np.bincount(gaps[gaps <= b_max], minlength=b_max + 1)[1:]
+    part = Partition.from_blocks(np.append(np.diff(pos), n + 1 - int(pos[-1])))
+    c_inf = np.zeros(b_max, np.int64)
     residual = 0.0
     if b_max > 0:
         horizon = n + int(math.ceil(b_max * theta * theta / tail_bound))
-        t = n + _geometric(gen, gen.beta(theta, n))
-        spacing = t - int(pos[-1])
-        if spacing <= b_max:
-            c_inf[spacing - 1] += 1
-        while t <= horizon:
-            g = _geometric(gen, gen.beta(theta, t))
-            if g <= b_max:
-                c_inf[g - 1] += 1
-            t += g
+        _, later = _FellerHits(theta, n, horizon + b_max, gen, gen, gen).draw(1)
+        succ = pos.tolist() + (later + 1).tolist()
+        for t, nxt in zip(succ, succ[1:]):
+            if t <= horizon and nxt - t <= b_max:
+                c_inf[nxt - t - 1] += 1
         residual = b_max * theta * theta / (theta + horizon - 1.0)
     return FellerSample(part, c_inf, residual)
+
+
+def _hits(rng, theta, n):
+    """`_FellerHits` on the cells [0, n) and rng.substream(0/1/2), as `paths.mc_functionals` draws."""
+    return _FellerHits(theta, 0, n, *(rng.substream(s).generator() for s in range(3)))
+
+
+def _poisson_product_tv(draws, theta):
+    """TV between the empirical law of the tuples `draws` and the product of Poisson(theta/j)."""
+    freq = collections.Counter(draws)
+    probs = {
+        k: math.prod(math.exp(-theta / j) * (theta / j) ** kj / math.factorial(kj) for j, kj in enumerate(k, 1))
+        for k in freq
+    }
+    m = len(draws)
+    return 0.5 * (math.fsum(abs(c / m - probs[k]) for k, c in freq.items()) + 1.0 - math.fsum(probs.values()))
 
 
 class TestRngState:
@@ -133,26 +145,6 @@ class TestSeedFromEnv:
         assert seed_from_env() == 2**64 - 1
 
 
-class TestGeometric:
-    def test_certain_success_gives_one(self):
-        gen = RngState(1).generator()
-        assert all(_geometric(gen, 1.0) == 1 for _ in range(10))
-
-    def test_subnormal_w_gives_the_capped_jump(self):
-        # log(u) / log1p(-w) overflows to inf here
-        gen = RngState(1).generator()
-        assert _geometric(gen, 5e-324) == 1 << 62
-
-    def test_law_matches_geometric(self):
-        gen = RngState(42).generator()
-        w = 0.3
-        draws = np.array([_geometric(gen, w) for _ in range(20000)])
-        assert draws.min() >= 1
-        # P(G = k) = w (1-w)^{k-1}; check the mean 1/w within 5 SE
-        se = math.sqrt((1 - w) / w**2 / draws.size)
-        assert abs(draws.mean() - 1 / w) < 5 * se
-
-
 class TestFellerSampler:
     def test_deterministic_under_seed(self):
         params = EsfParams(200, 1.5)
@@ -232,9 +224,23 @@ class TestFellerSampler:
             assert got.residual == want.residual
 
     def test_tiny_theta_extension_survives_a_subnormal_beta(self):
-        # the first step on this state draws w ~ 1e-321 from Beta(0.01, 6)
+        # a Beta-Geometric step drew w ~ 1e-321 from Beta(0.01, 6) on this
+        # state; the thinned extension draws on it like any other
         s = sample_feller(EsfParams(6, 0.01), RngState(1).substream(2737), b_max=6)
         assert s.c_inf.size == 6 and s.c_n.n == 6
+
+    @pytest.mark.parametrize("n,theta,b_max,seed,tol", [(10**4, 2.0, 3, 61, 0.05), (100, 50.0, 2, 62, 0.125),
+                                                         (6, 0.01, 6, 63, 0.005)])
+    def test_companion_joint_law_matches_poisson_product(self, n, theta, b_max, seed, tol):
+        # 1e4 draws on one stream; the seed's TV is 0.0425, 0.1161 and 0.0014,
+        # where 1e4 draws from the product law reach 0.0465, 0.122 and 0.0045
+        # at their 99th percentile (400 trials). The extension past n is
+        # thinned only at (1e4, 2), dense to 16 theta = 800 then thinned at
+        # (100, 50), and at theta = 0.01 its horizon is 12
+        gen = RngState(seed).generator()
+        params = EsfParams(n, theta)
+        draws = [tuple(sample_feller(params, gen, b_max=b_max).c_inf.tolist()) for _ in range(10**4)]
+        assert _poisson_product_tv(draws, theta) < tol
 
     def test_horizon_past_int64_is_refused(self):
         with pytest.raises(ValueError, match="b_max=1, theta=1e[+]200, tail_bound=0.0001"):
@@ -260,17 +266,6 @@ class _ScriptedStream:
         return self.values
 
 
-class _ScriptedState:
-    """An `RngState` stub whose substream(i) makes the i-th scripted stream."""
-
-    def __init__(self, *streams):
-        self.streams = streams
-
-    def substream(self, index):
-        stream = self.streams[index]
-        return type("Sub", (), {"generator": lambda self: stream})()
-
-
 def _empirical_tv(values, pmf):
     counts = np.bincount(values, minlength=pmf.offset + pmf.probs.size)
     return 0.5 * float(np.abs(counts[pmf.offset :] / values.size - pmf.probs).sum())
@@ -292,13 +287,13 @@ class TestFellerPositions:
         # 0.005, 0.010, 0.017, 0.022, 0.027 and 0.0007 at their 99th
         # percentile. 16 theta >= n at (300, 50) and (50, 1e6): the window is
         # every cell; (2000, 50) has a window of 800 cells and two blocks
-        rep, _ = _FellerHits(RngState(31), theta, n).draw(20000)
+        rep, _ = _hits(RngState(31), theta, n).draw(20000)
         assert _empirical_tv(np.bincount(rep, minlength=20000), kn_pmf(EsfParams(n, theta))) < tol
 
     def test_singleton_law_matches_singleton_pmf(self):
         # the seed's TV is 0.0070; exact multinomial draws reach 0.012 at the 99th percentile
         n, theta, m = 1000, 2.0, 20000
-        rep, pos = _FellerHits(RngState(32), theta, n).draw(m)
+        rep, pos = _hits(RngState(32), theta, n).draw(m)
         # a replicate's last gap runs to the next replicate's cell 0, or to 0 past the end
         gaps = np.diff(pos, append=0)
         gaps[np.diff(rep, append=m) != 0] += n
@@ -317,22 +312,33 @@ class TestFellerPositions:
         window[0, 3] = 0.2
         counts = _ScriptedStream([[3, 1], [0, 1]])
         points = _ScriptedStream([[0.5, 0.6], [0.5, 0.1], [0.99, 0.53], [0.0, 0.999], [0.5, 0.2]])
-        rep, pos = _FellerHits(_ScriptedState(_ScriptedStream(window), counts, points), 1.0, 64).draw(2)
+        rep, pos = _FellerHits(1.0, 0, 64, _ScriptedStream(window), counts, points).draw(2)
         assert rep.tolist() == [0, 0, 0, 0, 1, 1]
         assert pos.tolist() == [0, 3, 24, 32, 0, 48]  # 24 twice, once; 31 thinned away
         np.testing.assert_array_equal(counts.means[0], [16 * math.log1p(1 / 16), 32 * math.log1p(1 / 32)])
 
+    def test_cells_start_at_start(self):
+        # theta = 1, cells [10, 64): window 10..15, blocks [16, 32) and [32, 64).
+        # Cells 10 (p = 1/11) and 15 (p = 1/16) succeed; the one point in the
+        # first block falls in cell 24 and is kept
+        window = np.full((1, 6), 0.99)
+        window[0, 0], window[0, 5] = 0.05, 0.01
+        counts = _ScriptedStream([[1, 0]])
+        rep, pos = _FellerHits(1.0, 10, 64, _ScriptedStream(window), counts, _ScriptedStream([[0.5, 0.1]])).draw(1)
+        assert rep.tolist() == [0, 0, 0]
+        assert pos.tolist() == [10, 15, 24]
+        np.testing.assert_array_equal(counts.means[0], [16 * math.log1p(1 / 16), 32 * math.log1p(1 / 32)])
+
     def test_window_covering_n_draws_no_points(self):
-        state = _ScriptedState(_ScriptedStream(np.zeros((3, 10))), None, None)
-        rep, pos = _FellerHits(state, 1.0, 10).draw(3)
+        rep, pos = _FellerHits(1.0, 0, 10, _ScriptedStream(np.zeros((3, 10))), None, None).draw(3)
         assert rep.tolist() == [i for i in range(3) for _ in range(10)]
         assert pos.tolist() == list(range(10)) * 3
 
     @pytest.mark.parametrize("n,theta", [(1000, 2.0), (300, 50.0), (10**5, 0.3)])
     def test_draws_do_not_depend_on_calls_or_passes(self, n, theta, monkeypatch):
-        whole = _FellerHits(RngState(9), theta, n).draw(700)
+        whole = _hits(RngState(9), theta, n).draw(700)
         monkeypatch.setattr("ewens.sampling._HIT_VALUES", 1)  # one replicate a pass
-        hits = _FellerHits(RngState(9), theta, n)
+        hits = _hits(RngState(9), theta, n)
         parts = [hits.draw(300), hits.draw(1), hits.draw(399)]
         rep = np.concatenate([r + first for (r, _), first in zip(parts, (0, 300, 301))])
         assert np.array_equal(rep, whole[0])
@@ -343,8 +349,8 @@ class TestFellerPositions:
         # rows n pass 2^63 at n = 1e15: the passes are cut to 9223 replicates,
         # and equal smaller calls concatenated
         n, m = 10**15, 20000
-        rep, pos = _FellerHits(RngState(1), 1.0, n).draw(m)
-        hits = _FellerHits(RngState(1), 1.0, n)
+        rep, pos = _hits(RngState(1), 1.0, n).draw(m)
+        hits = _hits(RngState(1), 1.0, n)
         parts = [hits.draw(1000) for _ in range(m // 1000)]
         assert np.array_equal(rep, np.concatenate([r + 1000 * i for i, (r, _) in enumerate(parts)]))
         assert np.array_equal(pos, np.concatenate([p for _, p in parts]))
@@ -354,7 +360,30 @@ class TestFellerPositions:
 
     def test_position_bound_is_refused(self):
         with pytest.raises(ValueError, match=r"^n must be below 2\^62.*got 4611686018427387904$"):
-            _FellerHits(RngState(1), 1.0, 2**62)
+            _FellerHits(1.0, 0, 2**62, None, None, None)
+
+
+class TestCoupledCounts:
+    # n = 10, b = 3, horizon = 20: position 20 is cell 19
+    def test_spacing_from_the_horizon_counts_and_one_past_it_does_not(self):
+        rep = np.array([0, 0, 0, 1, 1, 1])
+        cell = np.array([0, 19, 22, 0, 20, 23])
+        c_n, c_inf = _coupled_counts(rep, cell, 2, 3, 10, 20)
+        assert c_inf.tolist() == [[0, 0, 1], [0, 0, 0]]
+        assert c_n.tolist() == [[0, 0, 0], [0, 0, 0]]  # one block of 10 each
+
+    def test_spacing_straddling_n_counts_in_c_inf_only(self):
+        # 8 -> 11 crosses n = 10: C^inf_3 = 1, while C^n closes with 10 - 8 = 2
+        c_n, c_inf = _coupled_counts(np.zeros(4, np.int64), np.array([0, 8, 11, 30]), 1, 3, 10, 20)
+        assert c_n.tolist() == [[0, 1, 0]]
+        assert c_inf.tolist() == [[0, 0, 1]]
+
+    def test_closing_block_counts_in_c_n(self):
+        # blocks 1, 8 and the closing 10 - 9 = 1; the last drawn success
+        # opens no C^inf spacing
+        c_n, c_inf = _coupled_counts(np.zeros(3, np.int64), np.array([0, 1, 9]), 1, 3, 10, 20)
+        assert c_n.tolist() == [[2, 0, 0]]
+        assert c_inf.tolist() == [[1, 0, 0]]
 
 
 class TestCrpSampler:
